@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffinePath, QubitSystem
+from .observables import ground_response
 from .spectrum import DegenerateGroundError, diagonalize, ground_state
 from .model import build_hamiltonian
 from .sweep import (
@@ -52,7 +53,7 @@ from .sweep import (
     detect_anticrossings,
     run_sweep,
 )
-from .witness import witness_lambda, witness_report
+from .witness import assemble_witness_report, witness_lambda
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -84,6 +85,13 @@ def _check_keys(block: dict, where: str, allowed: set[str], required: set[str]):
         raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _parse_couplings(raw, where: str) -> list[tuple[int, int, float]]:
     if not isinstance(raw, list):
         raise ConfigError(f"{where}.couplings must be an array of [i, j, value]")
@@ -96,7 +104,7 @@ def _parse_couplings(raw, where: str) -> list[tuple[int, int, float]]:
             i, bool
         ) or isinstance(j, bool):
             raise ConfigError(f"{where}.couplings indices must be integers")
-        entries.append((i, j, float(value)))
+        entries.append((i, j, _number(value, f"{where}.couplings value")))
     return entries
 
 
@@ -131,13 +139,17 @@ def _parse_grid(block: dict, where: str) -> np.ndarray:
         values = block["values"]
         if not isinstance(values, list):
             raise ConfigError(f"{where}.values must be an array")
-        return np.array([float(v) for v in values])
+        return np.array([_number(v, f"{where}.values entry") for v in values])
     if set(block) != {"start", "stop", "num"}:
         raise ConfigError(f"{where}: give either values or start/stop/num")
     num = block["num"]
-    if not isinstance(num, int) or isinstance(num, bool):
-        raise ConfigError(f"{where}.num must be an integer")
-    return np.linspace(float(block["start"]), float(block["stop"]), num)
+    if not isinstance(num, int) or isinstance(num, bool) or num < 0:
+        raise ConfigError(f"{where}.num must be a nonnegative integer")
+    return np.linspace(
+        _number(block["start"], f"{where}.start"),
+        _number(block["stop"], f"{where}.stop"),
+        num,
+    )
 
 
 _TOLERANCE_KEYS = ("deg_tol", "var_tol", "fd_step", "schmidt_tol")
@@ -238,7 +250,7 @@ def parse_config(document: dict) -> RunConfig:
         witness_direction = _parse_system(
             block["lambda_direction"], "witness.lambda_direction", system.n
         )
-        witness_lambda0 = float(block.get("lambda0", 0.0))
+        witness_lambda0 = _number(block.get("lambda0", 0.0), "witness.lambda0")
 
     tolerances = {key: None for key in _TOLERANCE_KEYS}
     if "tolerances" in document:
@@ -246,7 +258,7 @@ def parse_config(document: dict) -> RunConfig:
         _check_keys(block, "tolerances", set(_TOLERANCE_KEYS), set())
         for key in _TOLERANCE_KEYS:
             if key in block:
-                tolerances[key] = float(block[key])
+                tolerances[key] = _number(block[key], f"tolerances.{key}")
 
     return RunConfig(
         system=system,
@@ -292,8 +304,8 @@ def _cmd_spectrum(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
 
 def _cmd_witness(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
     deg_tol = _effective(config, args, "deg_tol")
-    spec = diagonalize(build_hamiltonian(config.system))
-    report = witness_report(spec, config.system, deg_tol)
+    ground, chi = ground_response(config.system, deg_tol)
+    report = assemble_witness_report(ground, chi, config.system)
     rows = ["mask_hex,n_ab,w_tilde,w_ab"]
     for cut in report.cuts:
         rows.append(

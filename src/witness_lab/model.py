@@ -214,13 +214,19 @@ def build_hamiltonian(system: QubitSystem) -> np.ndarray:
     for i in range(n):
         flipped = idx ^ (1 << (n - 1 - i))
         H[idx, flipped] += -0.5 * system.delta[i]
+    H[idx, idx] += hamiltonian_diagonal(system)
+    return H
 
+
+def hamiltonian_diagonal(system: QubitSystem) -> np.ndarray:
+    """Diagonal of the Hamiltonian: the bias and coupling terms, accumulated
+    in the canonical order (all biases, then pairs ``i < j``)."""
+    n = system.n
     signs = [sigma_z_diagonal(i, n) for i in range(n)]
-    diag = np.zeros(dim)
+    diag = np.zeros(system.dim)
     for i in range(n):
         diag += -system.h[i] * signs[i]
     for i in range(n):
         for j in range(i + 1, n):
             diag += system.J[i, j] * (signs[i] * signs[j])
-    H[idx, idx] += diag
-    return H
+    return diag

@@ -9,7 +9,11 @@ independent routes that are checked against each other in the test suite:
 * a central finite difference of ``<sz_i>`` under a displaced bias ``h_j``.
 
 Both routes refuse to evaluate near a ground-state degeneracy instead of
-returning a divergent number.
+returning a divergent number. ``ground_response`` is the route the
+``witness`` command takes: the sum over states below dimension
+``KRYLOV_MIN_DIM``, the matrix-free linear-response solve in ``krylov`` at
+and above it, with the dense route as the fallback whenever a Krylov solve
+does not converge.
 """
 
 from __future__ import annotations
@@ -18,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .krylov import KRYLOV_MIN_DIM, krylov_ground_state, krylov_susceptibility
 from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_diagonal
 from .spectrum import (
     DegenerateGroundError,
+    GroundState,
     Spectrum,
-    default_degeneracy_tolerance,
     diagonalize,
     ground_state,
+    resolve_degeneracy_tolerance,
 )
 
 NORM_TOL = 1e-9
@@ -67,7 +73,8 @@ def sigma_z_profile(state: np.ndarray) -> np.ndarray:
 
 
 def _resolve_deg_tol(spec: Spectrum, deg_tol: float | None) -> float:
-    return default_degeneracy_tolerance(spec) if deg_tol is None else float(deg_tol)
+    width = float(spec.energies[-1] - spec.energies[0])
+    return resolve_degeneracy_tolerance(deg_tol, width)
 
 
 def _excited_overlaps(spec: Spectrum, i: int, n: int) -> np.ndarray:
@@ -120,6 +127,41 @@ def cross_susceptibility_matrix(
     )
     half = (overlaps / gaps) @ overlaps.T
     return half + half.T
+
+
+def solve_ground_state(
+    system: QubitSystem, deg_tol: float | None = None
+) -> GroundState:
+    """Gated ground state of ``system`` without its excited states.
+
+    Lanczos at dimension ``KRYLOV_MIN_DIM`` and above, the dense
+    eigendecomposition below it or when Lanczos does not converge;
+    ``GroundState.route`` records which ran.
+    """
+    if system.dim >= KRYLOV_MIN_DIM:
+        ground = krylov_ground_state(system, deg_tol)
+        if ground is not None:
+            return ground
+    return ground_state(diagonalize(build_hamiltonian(system)), deg_tol)
+
+
+def ground_response(
+    system: QubitSystem, deg_tol: float | None = None
+) -> tuple[GroundState, np.ndarray]:
+    """Gated ground state and full ``n x n`` susceptibility matrix.
+
+    At dimension ``KRYLOV_MIN_DIM`` and above both come from the Krylov
+    route; below it, or when a Krylov solve does not converge, both come
+    from one dense eigendecomposition. ``GroundState.route`` records which
+    ran. Raises ``DegenerateGroundError`` on either route.
+    """
+    if system.dim >= KRYLOV_MIN_DIM:
+        ground = krylov_ground_state(system, deg_tol)
+        chi = None if ground is None else krylov_susceptibility(system, ground)
+        if chi is not None:
+            return ground, chi
+    spec = diagonalize(build_hamiltonian(system))
+    return ground_state(spec, deg_tol), cross_susceptibility_matrix(spec, deg_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +224,7 @@ def ground_sz_on_path(
     path: AffinePath, lam: float, deg_tol: float | None = None
 ) -> np.ndarray:
     """Ground-state ``<sz_i>`` profile of the path's system at ``lam``."""
-    spec = diagonalize(build_hamiltonian(path.at(lam)))
-    gs = ground_state(spec, deg_tol)
-    return sigma_z_profile(gs.vector)
+    return sigma_z_profile(solve_ground_state(path.at(lam), deg_tol).vector)
 
 
 def lambda_susceptibility(

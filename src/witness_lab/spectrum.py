@@ -1,12 +1,17 @@
-"""Dense symmetric eigendecomposition with deterministic conventions.
+"""Dense symmetric eigendecomposition with deterministic conventions, and
+the degeneracy gate every ground-state route passes through.
 
-The full decomposition is always computed, never just the extremal pair,
-because the susceptibility formulas downstream sum over every excited state.
-At the 4096-dimensional cap this stays affordable.
+``diagonalize`` computes the full decomposition: the ``spectrum`` and
+``sweep`` commands report excited levels, and the sum-over-states
+susceptibility sums over every excited state. Routes that need only the
+ground state, its gap and the susceptibility matrix (the ``witness`` command
+at dimension 1024 and above) use the matrix-free Krylov solvers in
+``krylov`` instead, and hand their energies to the same gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +44,16 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
+    """Gated ground state: ``gap`` exceeded the degeneracy tolerance.
+
+    ``route`` names the solver that produced it: ``"dense"`` for the full
+    eigendecomposition, ``"krylov"`` for the matrix-free Lanczos solver.
+    """
+
     energy: float
     vector: np.ndarray
     gap: float
+    route: str
 
 
 def diagonalize(H: np.ndarray) -> Spectrum:
@@ -78,28 +90,61 @@ def diagonalize(H: np.ndarray) -> Spectrum:
 def default_degeneracy_tolerance(spec: Spectrum) -> float:
     """Scale-free degeneracy threshold: 1e-9 of the spectral width (floored
     at 1e-9 for narrow spectra)."""
-    width = float(spec.energies[-1] - spec.energies[0])
-    return 1e-9 * max(1.0, width)
+    return resolve_degeneracy_tolerance(
+        None, float(spec.energies[-1] - spec.energies[0])
+    )
+
+
+def resolve_degeneracy_tolerance(deg_tol: float | None, width: float) -> float:
+    """Degeneracy tolerance to apply for a spectrum of the given width.
+
+    ``None`` selects the default, 1e-9 of ``max(1, width)``; an explicit
+    value must be positive and finite, so that ``gap <= deg_tol`` is a real
+    test.
+    """
+    if deg_tol is None:
+        return 1e-9 * max(1.0, width)
+    deg_tol = float(deg_tol)
+    if not 0.0 < deg_tol < math.inf:
+        raise ValueError(f"deg_tol must be positive and finite, got {deg_tol}")
+    return deg_tol
+
+
+def gate_ground(
+    energy: float,
+    vector: np.ndarray,
+    gap: float,
+    width: float,
+    deg_tol: float | None,
+    route: str,
+) -> GroundState:
+    """The degeneracy gate shared by every ground-state route.
+
+    Raises ``DegenerateGroundError`` when ``gap <= deg_tol``: a degenerate
+    ground manifold has no preferred state, and the entanglement machinery
+    built on a unique ground state does not apply.
+    """
+    deg_tol = resolve_degeneracy_tolerance(deg_tol, width)
+    if gap <= deg_tol:
+        raise DegenerateGroundError(
+            f"ground gap {gap:.3e} is within degeneracy tolerance {deg_tol:.3e}"
+        )
+    return GroundState(energy=energy, vector=vector, gap=gap, route=route)
 
 
 def ground_state(spec: Spectrum, deg_tol: float | None = None) -> GroundState:
     """Lowest eigenpair and its gap; fails rather than guessing on degeneracy.
 
-    Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol``: a
-    degenerate ground manifold has no preferred state, and the entanglement
-    machinery built on a unique ground state does not apply.
+    Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol`` (see
+    ``gate_ground``).
     """
     if spec.dim < 2:
         raise ValueError("spectrum must contain at least two levels")
-    if deg_tol is None:
-        deg_tol = default_degeneracy_tolerance(spec)
-    if deg_tol <= 0.0:
-        raise ValueError(f"deg_tol must be positive, got {deg_tol}")
-    gap = float(spec.energies[1] - spec.energies[0])
-    if gap <= deg_tol:
-        raise DegenerateGroundError(
-            f"ground gap {gap:.3e} is within degeneracy tolerance {deg_tol:.3e}"
-        )
-    return GroundState(
-        energy=float(spec.energies[0]), vector=spec.states[:, 0], gap=gap
+    return gate_ground(
+        energy=float(spec.energies[0]),
+        vector=spec.states[:, 0],
+        gap=float(spec.energies[1] - spec.energies[0]),
+        width=float(spec.energies[-1] - spec.energies[0]),
+        deg_tol=deg_tol,
+        route="dense",
     )

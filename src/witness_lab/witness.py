@@ -29,7 +29,7 @@ from .observables import (
     ground_sz_on_path,
     susceptibility_sos,
 )
-from .spectrum import DegenerateGroundError, Spectrum, default_degeneracy_tolerance
+from .spectrum import DegenerateGroundError, GroundState, Spectrum, ground_state
 
 COUPLING_RTOL = 1e-12  # |J_ij| above 1e-12 * max(1, max|J|) counts as a coupling
 
@@ -124,17 +124,6 @@ def witness_ab(w_tilde: float, n_ab: int) -> float:
     return magnitude / (n_ab + magnitude)
 
 
-def _require_nondegenerate(spec: Spectrum, deg_tol: float | None):
-    # Witness values are statements about a unique ground state; refuse to
-    # produce one (even a conventional zero) when the ground is degenerate.
-    tol = default_degeneracy_tolerance(spec) if deg_tol is None else float(deg_tol)
-    gap = float(spec.energies[1] - spec.energies[0])
-    if gap <= tol:
-        raise DegenerateGroundError(
-            f"witness undefined: ground gap {gap:.3e} within tolerance {tol:.3e}"
-        )
-
-
 def _tilde_from_chi(
     system: QubitSystem, partition: Bipartition, chi: np.ndarray
 ) -> float:
@@ -160,7 +149,9 @@ def witness_tilde_ab(
     Returns exactly 0.0 for cuts with no crossing couplings, without
     computing any susceptibility.
     """
-    _require_nondegenerate(spec, deg_tol)
+    # Witness values are statements about a unique ground state; refuse to
+    # produce one (even a conventional zero) when the ground is degenerate.
+    ground_state(spec, deg_tol)
     if count_crossing_couplings(system, partition) == 0:
         return 0.0
     total = 0.0
@@ -193,19 +184,22 @@ class WitnessReport:
 
 
 def _evaluate_cuts(
-    spec: Spectrum, system: QubitSystem, deg_tol: float | None
+    ground: GroundState, chi: np.ndarray, system: QubitSystem
 ) -> list[CutWitness]:
-    _require_nondegenerate(spec, deg_tol)
+    # Taking a GroundState means the degeneracy gate has passed: chi is only
+    # meaningful for a unique ground state. Here only the shapes are checked.
+    if ground.vector.shape != (system.dim,) or chi.shape != (system.n, system.n):
+        raise ValueError(
+            f"ground state of length {ground.vector.size} and chi of shape "
+            f"{chi.shape} do not belong to a {system.n}-qubit system"
+        )
     partitions = enumerate_bipartitions(system.n)
-    chi: np.ndarray | None = None
     cuts = []
     for partition in partitions:
         n_ab = count_crossing_couplings(system, partition)
         if n_ab == 0:
             w_tilde = 0.0
         else:
-            if chi is None:
-                chi = cross_susceptibility_matrix(spec, deg_tol)
             w_tilde = _tilde_from_chi(system, partition, chi)
         cuts.append(
             CutWitness(
@@ -216,6 +210,13 @@ def _evaluate_cuts(
             )
         )
     return cuts
+
+
+def _dense_cuts(
+    spec: Spectrum, system: QubitSystem, deg_tol: float | None
+) -> list[CutWitness]:
+    ground = ground_state(spec, deg_tol)
+    return _evaluate_cuts(ground, cross_susceptibility_matrix(spec, deg_tol), system)
 
 
 def _global_from_cuts(cuts: list[CutWitness]) -> float:
@@ -243,7 +244,7 @@ def witness_global(
     """
     if system.n < 2:
         raise ValueError(f"global witness requires n >= 2, got n={system.n}")
-    return _global_from_cuts(_evaluate_cuts(spec, system, deg_tol))
+    return _global_from_cuts(_dense_cuts(spec, system, deg_tol))
 
 
 def witness_lambda(
@@ -282,13 +283,14 @@ def witness_report(
     lambda0: float = 0.0,
     fd_step: float | None = None,
 ) -> WitnessReport:
-    """Assemble all per-cut witnesses and the global witness.
+    """Assemble all per-cut witnesses and the global witness from a dense
+    spectrum.
 
     When a ``path`` is supplied, ``w_lambda`` is evaluated at ``lambda0``;
     a degenerate difference stencil leaves it ``None`` instead of failing
     the whole report.
     """
-    cuts = _evaluate_cuts(spec, system, deg_tol)
+    cuts = _dense_cuts(spec, system, deg_tol)
     w_lambda = None
     if path is not None:
         try:
@@ -298,3 +300,13 @@ def witness_report(
     return WitnessReport(
         cuts=cuts, w_lambda=w_lambda, w_global=_global_from_cuts(cuts)
     )
+
+
+def assemble_witness_report(
+    ground: GroundState, chi: np.ndarray, system: QubitSystem
+) -> WitnessReport:
+    """Per-cut and global witnesses from a gated ground state and its
+    susceptibility matrix, as ``ground_response`` returns them; ``w_lambda``
+    stays ``None``."""
+    cuts = _evaluate_cuts(ground, chi, system)
+    return WitnessReport(cuts=cuts, w_lambda=None, w_global=_global_from_cuts(cuts))

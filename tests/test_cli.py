@@ -145,6 +145,19 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "spectrum", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_non_numeric_coupling_value(self, tmp_path, capsys, value):
+        doc = {"system": {**PINNED["system"], "couplings": [[0, 1, value]]}}
+        code, _, err = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "couplings value must be a number" in err
+
+    def test_negative_grid_num(self, tmp_path, capsys):
+        doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": {"start": -1.0, "stop": 1.0, "num": -5}}}
+        code, _, err = run_cli(capsys, "sweep", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "num must be a nonnegative integer" in err
+
     def test_sweep_command_requires_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PINNED)
         for command in ("sweep", "certify"):
@@ -277,6 +290,14 @@ class TestWitnessCommand:
         assert code == 3
         assert "DegenerateGround" in err
 
+    @pytest.mark.parametrize("deg_tol", [-1.0, 0.0])
+    def test_nonpositive_deg_tol_exits_2(self, tmp_path, capsys, deg_tol):
+        doc = {**CLASSICAL_DEGENERATE, "tolerances": {"deg_tol": deg_tol}}
+        code, out, err = run_cli(capsys, "witness", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "deg_tol must be positive" in err
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_csv_shape_and_summary(self, tmp_path, capsys):
@@ -344,6 +365,12 @@ class TestCertifyCommand:
         lines = out.strip().split("\n")
         assert lines[1] == "path_nondegenerate,true"
         assert lines[2] == "oracle_lambda,"
+
+    def test_nonpositive_deg_tol_exits_2(self, tmp_path, capsys):
+        doc = {**FM_PAIR, "tolerances": {"deg_tol": -1.0}}
+        code, out, err = run_cli(capsys, "certify", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "deg_tol must be positive" in err
 
     def test_degenerate_path_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CLASSICAL_DEGENERATE)
