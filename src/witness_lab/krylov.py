@@ -157,7 +157,7 @@ def _block_cg(
 ) -> np.ndarray | None:
     """Solve ``A X = B`` for unit columns of ``B`` in the range of
     ``project``, on which ``A`` is symmetric positive definite; ``None`` if
-    the iteration cap is reached first.
+    the iteration cap is reached or ``P^T A P`` turns out singular first.
 
     Search directions are projected before they are orthonormalized: once
     the residual is small, rounding noise dominates the weakest directions,
@@ -172,10 +172,13 @@ def _block_cg(
             break
         AP = apply_a(P)
         PAP = P.T @ AP
-        alpha = np.linalg.solve(PAP, P.T @ R)
+        try:
+            alpha = np.linalg.solve(PAP, P.T @ R)
+        except np.linalg.LinAlgError:
+            return None
         X += P @ alpha
         R -= AP @ alpha
-        beta = -np.linalg.solve(PAP, AP.T @ R)
+        beta = -np.linalg.solve(PAP, AP.T @ R)  # same PAP: cannot be singular here
         P = _orthonormal_span(project(R + P @ beta))
     else:
         return None

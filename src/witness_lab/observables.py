@@ -72,9 +72,17 @@ def sigma_z_profile(state: np.ndarray) -> np.ndarray:
     )
 
 
-def _resolve_deg_tol(spec: Spectrum, deg_tol: float | None) -> float:
+def _gated_gaps(spec: Spectrum, deg_tol: float | None) -> np.ndarray:
+    """Excitation energies ``E_k - E_0`` (k > 0); raises
+    ``DegenerateGroundError`` if any is within ``deg_tol``."""
     width = float(spec.energies[-1] - spec.energies[0])
-    return resolve_degeneracy_tolerance(deg_tol, width)
+    deg_tol = resolve_degeneracy_tolerance(deg_tol, width)
+    gaps = spec.energies[1:] - spec.energies[0]
+    if gaps.size == 0 or float(gaps.min()) <= deg_tol:
+        raise DegenerateGroundError(
+            "sum-over-states susceptibility undefined at a degenerate ground state"
+        )
+    return gaps
 
 
 def _excited_overlaps(spec: Spectrum, i: int, n: int) -> np.ndarray:
@@ -95,12 +103,7 @@ def susceptibility_sos(
     n = _qubit_count(spec.dim)
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"qubit indices ({i}, {j}) out of range for n={n}")
-    deg_tol = _resolve_deg_tol(spec, deg_tol)
-    gaps = spec.energies[1:] - spec.energies[0]
-    if gaps.size == 0 or float(gaps.min()) <= deg_tol:
-        raise DegenerateGroundError(
-            "sum-over-states susceptibility undefined at a degenerate ground state"
-        )
+    gaps = _gated_gaps(spec, deg_tol)
     ti = _excited_overlaps(spec, i, n)
     tj = ti if j == i else _excited_overlaps(spec, j, n)
     return float(np.sum((ti * tj + tj * ti) / gaps))
@@ -115,16 +118,8 @@ def cross_susceptibility_matrix(
     ``susceptibility_sos`` to floating-point accuracy.
     """
     n = _qubit_count(spec.dim)
-    deg_tol = _resolve_deg_tol(spec, deg_tol)
-    gaps = spec.energies[1:] - spec.energies[0]
-    if gaps.size == 0 or float(gaps.min()) <= deg_tol:
-        raise DegenerateGroundError(
-            "sum-over-states susceptibility undefined at a degenerate ground state"
-        )
-    v0 = spec.states[:, 0]
-    overlaps = np.vstack(
-        [(sigma_z_diagonal(i, n) * v0) @ spec.states[:, 1:] for i in range(n)]
-    )
+    gaps = _gated_gaps(spec, deg_tol)
+    overlaps = np.vstack([_excited_overlaps(spec, i, n) for i in range(n)])
     half = (overlaps / gaps) @ overlaps.T
     return half + half.T
 

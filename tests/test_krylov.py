@@ -192,6 +192,11 @@ def test_unconverged_solve_falls_back_to_dense(monkeypatch, cap):
     assert np.array_equal(chi, cross_susceptibility_matrix(spec))
 
 
+def test_block_cg_gives_up_on_singular_projected_operator():
+    B = np.eye(6)[:, :2]
+    assert krylov._block_cg(np.zeros_like, lambda V: V, B) is None
+
+
 def test_path_profile_and_lambda_witness_agree_with_dense(monkeypatch):
     system = random_all_to_all(10, 6)
     n = system.n
