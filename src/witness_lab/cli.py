@@ -25,8 +25,9 @@ and ``tolerances`` holds defaults that the command-line flags override::
     }
 
 Couplings are upper-triangle ``[i, j, value]`` entries with ``i < j``;
-unknown keys anywhere are rejected. Floats are printed in their shortest
-round-trip form, rows end with LF, and identical configs produce
+unknown keys anywhere are rejected. Tolerances are validated once, flags
+over config keys, before any command runs. Floats are printed in their
+shortest round-trip form, rows end with LF, and identical configs produce
 byte-identical output.
 
 Exit codes: 0 success (certify: entanglement certified), 1 clean negative
@@ -43,10 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffinePath, QubitSystem
+from .model import AffinePath, QubitSystem, build_hamiltonian
 from .observables import ground_response
-from .spectrum import DegenerateGroundError, diagonalize, ground_state
-from .model import build_hamiltonian
+from .separability import resolve_schmidt_tolerance
+from .spectrum import (
+    DegenerateGroundError,
+    diagonalize,
+    ground_state,
+    require_positive_finite,
+)
 from .sweep import (
     SweepConfig,
     certify_entanglement_on_path,
@@ -282,14 +288,30 @@ def load_config(path: str) -> RunConfig:
     return parse_config(document)
 
 
-def _effective(config: RunConfig, args, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.tolerances.get(key)
+def _resolve_tolerances(config: RunConfig, args) -> dict:
+    """The run's tolerances: each command-line flag over its config key,
+    validated once for every command. ``schmidt_tol`` must lie in (0, 1),
+    the others must be positive and finite; ``None`` keeps the library
+    default."""
+    resolved = {}
+    for key in _TOLERANCE_KEYS:
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.tolerances.get(key)
+        try:
+            if value is not None and key == "schmidt_tol":
+                value = resolve_schmidt_tolerance(value)
+            elif value is not None:
+                value = require_positive_finite(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        resolved[key] = value
+    return resolved
 
 
-def _cmd_spectrum(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
+def _cmd_spectrum(
+    config: RunConfig, args, tol: dict
+) -> tuple[int, list[str], list[str]]:
     spec = diagonalize(build_hamiltonian(config.system))
     levels = spec.dim if args.levels is None else args.levels
     if not 1 <= levels <= spec.dim:
@@ -297,13 +319,15 @@ def _cmd_spectrum(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
     rows = ["level,energy"]
     rows += [f"{k},{_fmt(spec.energies[k])}" for k in range(levels)]
     if args.ground:
-        gs = ground_state(spec, _effective(config, args, "deg_tol"))
+        gs = ground_state(spec, tol["deg_tol"])
         rows.append(f"gap,{_fmt(gs.gap)}")
     return EXIT_OK, rows, []
 
 
-def _cmd_witness(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
-    deg_tol = _effective(config, args, "deg_tol")
+def _cmd_witness(
+    config: RunConfig, args, tol: dict
+) -> tuple[int, list[str], list[str]]:
+    deg_tol = tol["deg_tol"]
     ground, chi = ground_response(config.system, deg_tol)
     report = assemble_witness_report(ground, chi, config.system)
     rows = ["mask_hex,n_ab,w_tilde,w_ab"]
@@ -315,7 +339,7 @@ def _cmd_witness(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
         value = witness_lambda(
             config.witness_path,
             config.witness_lambda0,
-            _effective(config, args, "fd_step"),
+            tol["fd_step"],
             deg_tol,
         )
         rows.append(f"lambda,,,{_fmt(value)}")
@@ -323,22 +347,20 @@ def _cmd_witness(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
     return EXIT_OK, rows, []
 
 
-def _sweep_result(config: RunConfig, args):
+def _sweep_result(config: RunConfig, args, tol: dict):
     if config.sweep_path is None or config.grid is None:
         raise ConfigError("this command requires a sweep block in the config")
     track_levels = config.track_levels if args.levels is None else args.levels
     sweep_config = SweepConfig(
         path=config.sweep_path, grid=config.grid, track_levels=track_levels
     )
-    return run_sweep(
-        sweep_config,
-        deg_tol=_effective(config, args, "deg_tol"),
-        fd_step=_effective(config, args, "fd_step"),
-    )
+    return run_sweep(sweep_config, deg_tol=tol["deg_tol"], fd_step=tol["fd_step"])
 
 
-def _cmd_sweep(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
-    result = _sweep_result(config, args)
+def _cmd_sweep(
+    config: RunConfig, args, tol: dict
+) -> tuple[int, list[str], list[str]]:
+    result = _sweep_result(config, args, tol)
     k = result.config.track_levels
     n = config.system.n
     header = (
@@ -366,15 +388,14 @@ def _cmd_sweep(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
     return EXIT_OK, rows, summaries
 
 
-def _cmd_certify(config: RunConfig, args) -> tuple[int, list[str], list[str]]:
-    result = _sweep_result(config, args)
-    var_tol = _effective(config, args, "var_tol")
-    schmidt_tol = _effective(config, args, "schmidt_tol")
-    kwargs = {"deg_tol": _effective(config, args, "deg_tol")}
-    if var_tol is not None:
-        kwargs["var_tol"] = var_tol
-    if schmidt_tol is not None:
-        kwargs["schmidt_tol"] = schmidt_tol
+def _cmd_certify(
+    config: RunConfig, args, tol: dict
+) -> tuple[int, list[str], list[str]]:
+    result = _sweep_result(config, args, tol)
+    kwargs = {"deg_tol": tol["deg_tol"]}
+    for key in ("var_tol", "schmidt_tol"):
+        if tol[key] is not None:
+            kwargs[key] = tol[key]
     report = certify_entanglement_on_path(result, **kwargs)
     rows = ["i,j,var_i,var_j"]
     for i, j, var_i, var_j in report.certified_pairs:
@@ -443,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        tolerances = _resolve_tolerances(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -452,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        code, rows, summaries = _COMMANDS[args.command](config, args)
+        code, rows, summaries = _COMMANDS[args.command](config, args, tolerances)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

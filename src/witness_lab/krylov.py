@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import QubitSystem, hamiltonian_diagonal, sigma_z_diagonal
+from .model import QubitSystem, hamiltonian_diagonal, sigma_z_table
 from .spectrum import GroundState, gate_ground
 
 KRYLOV_MIN_DIM = 1024  # below this dimension a dense eigh is faster
@@ -196,7 +196,6 @@ def krylov_susceptibility(
 
     Bitwise symmetric by construction, like ``cross_susceptibility_matrix``.
     """
-    n = system.n
     v0 = ground.vector
     apply_h = hamiltonian_operator(system)
 
@@ -206,7 +205,7 @@ def krylov_susceptibility(
     def apply_a(V: np.ndarray) -> np.ndarray:
         return project(apply_h(V) - ground.energy * V)
 
-    signs = np.column_stack([sigma_z_diagonal(i, n) for i in range(n)])
+    signs = sigma_z_table(system.n).T.copy()  # C order keeps the products' layout
     B = project(signs * v0[:, None])
     norms = np.linalg.norm(B, axis=0)
     active = norms > 0.0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -171,6 +172,37 @@ class AffinePath:
             J=self.base.J + lam * self.direction.J,
         )
 
+    def coefficients(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(delta, h, J)`` at every value of ``grid``, stacked along a
+        leading axis of shapes ``(m, n)``, ``(m, n)`` and ``(m, n, n)``.
+
+        Row ``k`` is bitwise the coefficients of ``at(grid[k])``: the same
+        element-wise ``base + lam * direction``. Finiteness is checked once
+        for the whole grid; symmetry and the zero diagonal of ``J`` carry
+        over from ``base`` and ``direction``.
+        """
+        lam = np.asarray(grid, dtype=float).reshape(-1)
+        # In-place adds save a temporary; IEEE addition is commutative, so
+        # ``x += base`` is bitwise ``base + x``. Overflow is reported by the
+        # finiteness check below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = lam[:, None] * self.direction.delta
+            delta += self.base.delta
+            h = lam[:, None] * self.direction.h
+            h += self.base.h
+            J = lam[:, None, None] * self.direction.J
+            J += self.base.J
+        finite = (
+            np.isfinite(lam)
+            & np.isfinite(delta).all(axis=1)
+            & np.isfinite(h).all(axis=1)
+            & np.isfinite(J).all(axis=(1, 2))
+        )
+        if not finite.all():
+            bad = float(lam[np.argmin(finite)])
+            raise ValueError(f"path coefficients are not finite at lambda={bad!r}")
+        return delta, h, J
+
 
 def sigma_z_diagonal(i: int, n: int) -> np.ndarray:
     """Diagonal of the embedded ``sz_i`` operator: +-1 per basis state."""
@@ -197,36 +229,68 @@ def embed_pauli(axis: PauliAxis, i: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def sigma_z_table(n: int) -> np.ndarray:
+    """Read-only ``(n, 2^n)`` table whose row ``i`` is ``sigma_z_diagonal(i, n)``.
+
+    Cached per ``n``: the Hamiltonian builder and ``<sz>`` profiles share it.
+    """
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    table = np.vstack([sigma_z_diagonal(i, n) for i in range(n)])
+    table.setflags(write=False)
+    return table
+
+
 def build_hamiltonian(system: QubitSystem) -> np.ndarray:
     """Dense real symmetric Hamiltonian matrix of a qubit system.
 
     Entrywise identical (not merely close) to summing the embedded Pauli
     terms in the canonical order: all transverse terms, then all bias terms,
-    then couplings over pairs ``i < j``. The transverse part places ``-delta_i/2``
-    at index pairs differing in exactly the bit of qubit ``i``; the diagonal
-    carries the bias and coupling terms.
+    then couplings over pairs ``i < j``. The one-point case of
+    ``build_hamiltonians``.
     """
-    n = system.n
-    dim = system.dim
+    return build_hamiltonians(system.delta[None], system.h[None], system.J[None])[0]
+
+
+def build_hamiltonians(delta: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Dense Hamiltonians for a batch of coefficient sets.
+
+    ``delta`` and ``h`` have shape ``(m, n)`` and ``J`` has shape
+    ``(m, n, n)``, as ``AffinePath.coefficients`` returns them; the result
+    has shape ``(m, 2^n, 2^n)``. The coefficients must already be valid
+    (finite, ``J`` symmetric with zero diagonal). The transverse part places
+    ``-delta_i/2`` at index pairs differing in exactly the bit of qubit
+    ``i``; the diagonal carries the bias and coupling terms.
+    """
+    m, n = delta.shape
+    dim = 1 << n
     idx = np.arange(dim)
 
-    H = np.zeros((dim, dim))
+    H = np.zeros((m, dim, dim))
     for i in range(n):
         flipped = idx ^ (1 << (n - 1 - i))
-        H[idx, flipped] += -0.5 * system.delta[i]
-    H[idx, idx] += hamiltonian_diagonal(system)
+        H[:, idx, flipped] += (-0.5 * delta[:, i])[:, None]
+    H[:, idx, idx] += hamiltonian_diagonals(h, J)
     return H
 
 
 def hamiltonian_diagonal(system: QubitSystem) -> np.ndarray:
-    """Diagonal of the Hamiltonian: the bias and coupling terms, accumulated
-    in the canonical order (all biases, then pairs ``i < j``)."""
-    n = system.n
-    signs = [sigma_z_diagonal(i, n) for i in range(n)]
-    diag = np.zeros(system.dim)
+    """Diagonal of the Hamiltonian; the one-point case of
+    ``hamiltonian_diagonals``."""
+    return hamiltonian_diagonals(system.h[None], system.J[None])[0]
+
+
+def hamiltonian_diagonals(h: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Diagonals of a batch of Hamiltonians, shape ``(m, 2^n)``: the bias and
+    coupling terms, accumulated in the canonical order (all biases, then
+    pairs ``i < j``)."""
+    m, n = h.shape
+    signs = sigma_z_table(n)
+    diag = np.zeros((m, 1 << n))
     for i in range(n):
-        diag += -system.h[i] * signs[i]
+        diag += -h[:, i, None] * signs[i]
     for i in range(n):
         for j in range(i + 1, n):
-            diag += system.J[i, j] * (signs[i] * signs[j])
+            diag += J[:, i, j, None] * (signs[i] * signs[j])
     return diag

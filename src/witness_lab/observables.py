@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import KRYLOV_MIN_DIM, krylov_ground_state, krylov_susceptibility
-from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_diagonal
+from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_table
 from .spectrum import (
     DegenerateGroundError,
     GroundState,
     Spectrum,
     diagonalize,
     ground_state,
+    require_positive_finite,
     resolve_degeneracy_tolerance,
 )
 
@@ -59,17 +60,15 @@ def sigma_z_expectation(state: np.ndarray, i: int) -> float:
     n = _qubit_count(state.size)
     if not 0 <= i < n:
         raise ValueError(f"qubit index {i} out of range for n={n}")
-    return float(np.dot(sigma_z_diagonal(i, n) * state, state))
+    return float(np.dot(sigma_z_table(n)[i] * state, state))
 
 
 def sigma_z_profile(state: np.ndarray) -> np.ndarray:
     """``<sz_i>`` for every qubit; entry ``i`` is exactly
     ``sigma_z_expectation(state, i)``."""
     state = _check_normalized(state)
-    n = _qubit_count(state.size)
-    return np.array(
-        [float(np.dot(sigma_z_diagonal(i, n) * state, state)) for i in range(n)]
-    )
+    signs = sigma_z_table(_qubit_count(state.size))
+    return np.array([float(np.dot(row * state, state)) for row in signs])
 
 
 def _gated_gaps(spec: Spectrum, deg_tol: float | None) -> np.ndarray:
@@ -88,7 +87,7 @@ def _gated_gaps(spec: Spectrum, deg_tol: float | None) -> np.ndarray:
 def _excited_overlaps(spec: Spectrum, i: int, n: int) -> np.ndarray:
     """Row of matrix elements ``<0|sz_i|k>`` over excited states k > 0."""
     v0 = spec.states[:, 0]
-    return (sigma_z_diagonal(i, n) * v0) @ spec.states[:, 1:]
+    return (sigma_z_table(n)[i] * v0) @ spec.states[:, 1:]
 
 
 def susceptibility_sos(
@@ -184,6 +183,14 @@ def default_fd_step(system: QubitSystem) -> float:
     return 1e-4 * max(1.0, system.coefficient_scale)
 
 
+def resolve_fd_step(step: float | None, system: QubitSystem) -> float:
+    """``default_fd_step(system)`` for ``None``; an explicit step must be
+    positive and finite."""
+    if step is None:
+        return default_fd_step(system)
+    return require_positive_finite("fd_step", step)
+
+
 def _ground_sz(system: QubitSystem, i: int, deg_tol: float | None) -> float:
     spec = diagonalize(build_hamiltonian(system))
     gs = ground_state(spec, deg_tol)
@@ -205,11 +212,7 @@ def susceptibility_fd(
     n = system.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"qubit indices ({i}, {j}) out of range for n={n}")
-    if step is None:
-        step = default_fd_step(system)
-    step = float(step)
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = resolve_fd_step(step, system)
     plus = _ground_sz(system.with_bias(j, system.h[j] + step), i, deg_tol)
     minus = _ground_sz(system.with_bias(j, system.h[j] - step), i, deg_tol)
     return (plus - minus) / (2.0 * step)
@@ -232,11 +235,7 @@ def lambda_susceptibility(
     """Derivative of ``<sz_i>`` along the path, by central difference."""
     if not 0 <= i < path.n:
         raise ValueError(f"qubit index {i} out of range for n={path.n}")
-    if step is None:
-        step = default_fd_step(path.at(lambda0))
-    step = float(step)
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = resolve_fd_step(step, path.at(lambda0))
     plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
     minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
     return float((plus[i] - minus[i]) / (2.0 * step))

@@ -39,10 +39,23 @@ def _pack_bits(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
+def resolve_schmidt_tolerance(tol: float) -> float:
+    """``tol`` as a float, or ``ValueError`` unless it lies in (0, 1).
+
+    Schmidt coefficients of a normalized state are at most 1, so a
+    threshold of 1 or more counts none of them and marks every state
+    non-separable; zero or less counts numerical noise as rank."""
+    tol = float(tol)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"schmidt_tol must be in (0, 1), got {tol}")
+    return tol
+
+
 def schmidt_coefficients(
     state: np.ndarray, partition: Bipartition, tol: float = SCHMIDT_TOL
 ) -> SchmidtData:
     """Singular values of the state's amplitude matrix across the cut."""
+    tol = resolve_schmidt_tolerance(tol)
     state = _check_normalized(state)
     n = _qubit_count(state.size)
     if partition.n != n:

@@ -104,10 +104,16 @@ def resolve_degeneracy_tolerance(deg_tol: float | None, width: float) -> float:
     """
     if deg_tol is None:
         return 1e-9 * max(1.0, width)
-    deg_tol = float(deg_tol)
-    if not 0.0 < deg_tol < math.inf:
-        raise ValueError(f"deg_tol must be positive and finite, got {deg_tol}")
-    return deg_tol
+    return require_positive_finite("deg_tol", deg_tol)
+
+
+def require_positive_finite(name: str, value: float) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is positive and
+    finite. The rule for every tolerance and step except ``schmidt_tol``."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def gate_ground(

@@ -2,33 +2,40 @@
 
 A sweep walks an affine coefficient path over a fixed grid, recording the
 lowest energies, the gap, and the ground-state ``<sz_i>`` trajectory at every
-point. Degenerate points are flagged rather than failing the sweep. On top of
-a sweep result:
+point. It works from the path's coefficient grid (``AffinePath.coefficients``)
+rather than one ``QubitSystem`` per point: Hamiltonians are built a chunk of
+grid points at a time, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, and each
+is diagonalized on its own through ``diagonalize`` and gated through
+``ground_state``. Degenerate points are flagged rather than failing the
+sweep. On top of a sweep result:
 
 * ``detect_anticrossings`` reports interior local minima of the gap, refined
   by a three-point parabolic fit, and
 * ``certify_entanglement_on_path`` certifies ground-state entanglement for
-  every coupled pair whose ``<sz>`` trajectories both change along the path,
-  provided no grid point is degenerate — cross-checked against the
-  Schmidt-decomposition oracle.
+  every pair that stays coupled on the whole grid and whose ``<sz>``
+  trajectories both change along the path, provided no grid point is
+  degenerate — cross-checked against the Schmidt-decomposition oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffinePath, build_hamiltonian
+from .model import AffinePath, build_hamiltonians
 from .observables import sigma_z_profile
-from .separability import SCHMIDT_TOL, is_fully_separable
-from .spectrum import DegenerateGroundError, diagonalize, ground_state
+from .separability import SCHMIDT_TOL, is_fully_separable, resolve_schmidt_tolerance
+from .spectrum import (
+    DegenerateGroundError,
+    diagonalize,
+    ground_state,
+    require_positive_finite,
+)
 from .witness import WitnessReport, coupling_threshold, witness_report
 
-THREADS_ENV_VAR = "WITNESS_LAB_THREADS"
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
+SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at n >= 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,71 +100,49 @@ class SweepResult:
         return np.array([p.degenerate for p in self.points])
 
 
-def _evaluate_point(
-    config: SweepConfig,
-    lam: float,
-    deg_tol: float | None,
-    fd_step: float | None,
-) -> SweepPoint:
-    system = config.path.at(lam)
-    spec = diagonalize(build_hamiltonian(system))
-    energies = np.array(spec.energies[: config.track_levels])
-    gap = float(spec.energies[1] - spec.energies[0])
-    try:
-        gs = ground_state(spec, deg_tol)
-        sz = sigma_z_profile(gs.vector)
-        degenerate = False
-    except DegenerateGroundError:
-        sz = np.full(system.n, np.nan)
-        degenerate = True
-    witnesses = None
-    if config.compute_witnesses and not degenerate:
-        witnesses = witness_report(
-            spec, system, deg_tol, path=config.path, lambda0=lam, fd_step=fd_step
-        )
-    return SweepPoint(
-        lam=float(lam),
-        energies=energies,
-        gap=gap,
-        sz=sz,
-        degenerate=degenerate,
-        witnesses=witnesses,
-    )
-
-
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        max_workers = int(env) if env else 1
-    if max_workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {max_workers}")
-    return max_workers
-
-
 def run_sweep(
     config: SweepConfig,
     deg_tol: float | None = None,
     fd_step: float | None = None,
-    max_workers: int | None = None,
 ) -> SweepResult:
-    """Evaluate the sweep over its grid.
+    """Evaluate the sweep over its grid, in grid order.
 
-    Grid points are independent; with ``max_workers > 1`` (or the
-    WITNESS_LAB_THREADS environment variable set) they are evaluated in a
-    thread pool. Records are assembled in grid order either way and are
-    identical to the serial evaluation.
+    The path's coefficients and Hamiltonians are built for a chunk of grid
+    points at once, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, so no
+    ``QubitSystem`` is made per point. Each point is then diagonalized on
+    its own, so its record is bitwise what a per-point
+    ``diagonalize(build_hamiltonian(path.at(lam)))`` gives. A degenerate
+    point gets ``degenerate=True`` and NaN ``sz``. With
+    ``compute_witnesses`` each nondegenerate point also gets a
+    ``witness_report`` of ``path.at(lam)``.
     """
-    workers = _resolve_workers(max_workers)
-    if workers == 1:
-        points = [
-            _evaluate_point(config, lam, deg_tol, fd_step) for lam in config.grid
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(
-                pool.map(
-                    lambda lam: _evaluate_point(config, lam, deg_tol, fd_step),
-                    config.grid,
+    path, grid = config.path, config.grid
+    dim = 1 << path.n
+    chunk = max(1, SWEEP_CHUNK_BYTES // (8 * dim * dim))
+    points = []
+    for start in range(0, grid.size, chunk):
+        lams = grid[start : start + chunk]
+        for lam, H in zip(lams, build_hamiltonians(*path.coefficients(lams))):
+            spec = diagonalize(H)
+            try:
+                sz = sigma_z_profile(ground_state(spec, deg_tol).vector)
+                degenerate = False
+            except DegenerateGroundError:
+                sz = np.full(path.n, np.nan)
+                degenerate = True
+            witnesses = None
+            if config.compute_witnesses and not degenerate:
+                witnesses = witness_report(
+                    spec, path.at(lam), deg_tol, path=path, lambda0=lam, fd_step=fd_step
+                )
+            points.append(
+                SweepPoint(
+                    lam=float(lam),
+                    energies=np.array(spec.energies[: config.track_levels]),
+                    gap=float(spec.energies[1] - spec.energies[0]),
+                    sz=sz,
+                    degenerate=degenerate,
+                    witnesses=witnesses,
                 )
             )
     return SweepResult(config=config, points=points)
@@ -220,12 +205,13 @@ class CertificationReport:
     oracle_confirmation: float | None
 
 
-def _coupled_everywhere(result: SweepResult, i: int, j: int) -> bool:
-    for lam in result.config.grid:
-        system = result.config.path.at(lam)
-        if abs(system.J[i, j]) <= coupling_threshold(system.J):
-            return False
-    return True
+def _coupled_everywhere(result: SweepResult) -> np.ndarray:
+    """``(n, n)`` mask of the pairs coupled above ``coupling_threshold`` at
+    every grid point."""
+    J = result.config.path.coefficients(result.config.grid)[2]
+    threshold = coupling_threshold(J)
+    # J is a fresh array: taking magnitudes in place saves a grid-sized copy.
+    return (np.abs(J, out=J) > threshold[:, None, None]).all(axis=0)
 
 
 def _find_nonseparable_point(
@@ -238,8 +224,8 @@ def _find_nonseparable_point(
         point = result.points[k]
         if point.degenerate:
             continue
-        spec = diagonalize(build_hamiltonian(result.config.path.at(point.lam)))
-        gs = ground_state(spec, deg_tol)
+        H = build_hamiltonians(*result.config.path.coefficients([point.lam]))[0]
+        gs = ground_state(diagonalize(H), deg_tol)
         if not is_fully_separable(gs.vector, schmidt_tol):
             return point.lam
     return None
@@ -258,8 +244,11 @@ def certify_entanglement_on_path(
     pair change, so a pair certifies when both total variations exceed
     ``var_tol``. Any degenerate grid point voids certification for the whole
     path. A positive finding is cross-checked by locating a grid point whose
-    ground state the Schmidt oracle marks as non-separable.
+    ground state the Schmidt oracle marks as non-separable. ``var_tol``
+    must be positive and finite and ``schmidt_tol`` in (0, 1).
     """
+    var_tol = require_positive_finite("var_tol", var_tol)
+    schmidt_tol = resolve_schmidt_tolerance(schmidt_tol)
     degenerate = result.degenerate_flags
     if bool(degenerate.any()):
         return CertificationReport(
@@ -268,12 +257,11 @@ def certify_entanglement_on_path(
     sz = result.sz_trajectories
     variations = np.abs(np.diff(sz, axis=0)).sum(axis=0)
     n = result.config.path.n
+    coupled = _coupled_everywhere(result)
     certified = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not _coupled_everywhere(result, i, j):
-                continue
-            if variations[i] > var_tol and variations[j] > var_tol:
+            if coupled[i, j] and variations[i] > var_tol and variations[j] > var_tol:
                 certified.append((i, j, float(variations[i]), float(variations[j])))
     confirmation = None
     if certified:

@@ -25,8 +25,8 @@ import numpy as np
 from .model import MAX_QUBITS, AffinePath, QubitSystem
 from .observables import (
     cross_susceptibility_matrix,
-    default_fd_step,
     ground_sz_on_path,
+    resolve_fd_step,
     susceptibility_sos,
 )
 from .spectrum import DegenerateGroundError, GroundState, Spectrum, ground_state
@@ -91,8 +91,10 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(mask=m, n=n) for m in range(1, full, 2)]
 
 
-def coupling_threshold(J: np.ndarray) -> float:
-    return COUPLING_RTOL * max(1.0, float(np.abs(J).max()))
+def coupling_threshold(J: np.ndarray) -> float | np.ndarray:
+    """Value ``|J_ij|`` must exceed to count as a coupling, per matrix over
+    the last two axes (leading axes are a batch)."""
+    return COUPLING_RTOL * np.maximum(1.0, np.abs(J).max(axis=(-2, -1)))
 
 
 def count_crossing_couplings(system: QubitSystem, partition: Bipartition) -> int:
@@ -260,11 +262,7 @@ def witness_lambda(
     positive values certify entanglement of the ground state at ``lambda0``.
     """
     system = path.at(lambda0)
-    if step is None:
-        step = default_fd_step(system)
-    step = float(step)
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = resolve_fd_step(step, system)
     plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
     minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
     chi = (plus - minus) / (2.0 * step)

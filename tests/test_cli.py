@@ -379,6 +379,107 @@ class TestCertifyCommand:
         assert "path_nondegenerate,false" in out
 
 
+CONSTANT_PATH = {
+    "system": {"n": 2, "delta": [0.2, 0.2], "h": [0.1, 0.0], "couplings": [[0, 1, -1.0]]},
+    "sweep": {
+        "direction": {"delta": [0.0, 0.0], "h": [0.0, 0.0], "couplings": []},
+        "grid": {"start": -1.0, "stop": 1.0, "num": 5},
+    },
+    "witness": {
+        "lambda_direction": {"delta": [0.0, 0.0], "h": [1.0, 1.0], "couplings": []}
+    },
+}
+
+COMMANDS = ("spectrum", "witness", "sweep", "certify")
+
+
+class TestTolerances:
+    def test_negative_var_tol_does_not_certify_a_constant_path(self, tmp_path, capsys):
+        # with var_tol = -1 the zero variation of a constant path exceeded it
+        doc = {**CONSTANT_PATH, "tolerances": {"var_tol": -1.0}}
+        code, out, err = run_cli(capsys, "certify", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "var_tol must be positive and finite" in err
+        assert out == ""
+        code, out, _ = run_cli(
+            capsys, "certify", "--config", write_config(tmp_path, CONSTANT_PATH, "ok.json")
+        )
+        assert code == 1
+
+    def test_nan_var_tol_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FM_PAIR)
+        code, out, err = run_cli(capsys, "certify", "--config", cfg, "--var-tol", "nan")
+        assert code == 2
+        assert "var_tol must be positive and finite, got nan" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["1e999", "1.0", "0.0", "-1e-7"])
+    def test_schmidt_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        text = json.dumps(FM_PAIR)[:-1] + f', "tolerances": {{"schmidt_tol": {value}}}}}'
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "certify", "--config", str(path))
+        assert code == 2
+        assert "schmidt_tol must be in (0, 1)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["certify", "witness"])
+    def test_negative_fd_step_exits_2_on_every_command(self, tmp_path, capsys, command):
+        doc = {**CONSTANT_PATH, "tolerances": {"fd_step": -1.0}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "fd_step must be positive and finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("deg_tol", "inf"),
+            ("var_tol", "0"),
+            ("fd_step", "nan"),
+            ("fd_step", "-inf"),
+        ],
+    )
+    def test_invalid_flag_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, CONSTANT_PATH)
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, command, "--config", cfg, f"{flag}={value}")
+        assert code == 2
+        assert f"{key} must be positive and finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_flag_overrides_invalid_config_value(self, tmp_path, capsys, command):
+        doc = {**CONSTANT_PATH, "tolerances": {"var_tol": -1.0}}
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run_cli(capsys, command, "--config", cfg, "--var-tol", "0.1")
+        assert code in (0, 1)
+        assert err == ""
+
+    def test_echo_config_rejects_invalid_tolerance(self, tmp_path, capsys):
+        doc = {**CONSTANT_PATH, "tolerances": {"schmidt_tol": 2.0}}
+        cfg = write_config(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--echo-config")
+        assert code == 2
+        assert out == ""
+
+    def test_nonfinite_interior_sweep_point_exits_2(self, tmp_path, capsys):
+        doc = {
+            "system": {"n": 2, "delta": [0.5, 0.5], "h": [1e308, 0.0], "couplings": []},
+            "sweep": {
+                "direction": {"delta": [0.0, 0.0], "h": [1e308, 0.0], "couplings": []},
+                "grid": {"start": -1.0, "stop": 2.0, "num": 31},
+            },
+        }
+        cfg = write_config(tmp_path, doc)
+        for command in ("sweep", "certify"):
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+            assert code == 2
+            assert err == "config error: path coefficients are not finite at lambda=0.8\n"
+            assert out == ""
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_configs_identical_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FM_PAIR)

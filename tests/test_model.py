@@ -7,13 +7,31 @@ from witness_lab import (
     PauliAxis,
     QubitSystem,
     build_hamiltonian,
+    build_hamiltonians,
     embed_pauli,
     sigma_z_diagonal,
 )
+from witness_lab.model import sigma_z_table
 
 
 def fm_pair():
     return QubitSystem.from_couplings([0.2, 0.2], [0.0, 0.0], [(0, 1, -1.0)])
+
+
+def random_path(rng, n, moving=("delta", "h", "J")):
+    """Random affine path whose direction is nonzero only in ``moving``."""
+
+    def symmetric():
+        J = np.triu(rng.uniform(-1.5, 1.5, (n, n)), 1)
+        return J + J.T
+
+    base = QubitSystem(delta=rng.uniform(0, 1, n), h=rng.uniform(-1, 1, n), J=symmetric())
+    direction = QubitSystem(
+        delta=rng.uniform(-1, 1, n) * ("delta" in moving),
+        h=rng.uniform(-1, 1, n) * ("h" in moving),
+        J=symmetric() * ("J" in moving),
+    )
+    return AffinePath(base=base, direction=direction)
 
 
 class TestEmbedPauli:
@@ -194,3 +212,42 @@ class TestAffinePath:
         path = AffinePath(base=base, direction=direction)
         with pytest.raises(ValueError):
             path.at(np.inf)
+
+
+class TestGridCoefficients:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batched_hamiltonians_equal_per_point_builds(self, n):
+        rng = np.random.default_rng(300 + n)
+        grid = np.concatenate([rng.uniform(-3, 3, 3), [0.0, 1.0]])
+        for moving in (("delta",), ("h",), ("J",), ("delta", "h", "J")):
+            path = random_path(rng, n, moving)
+            delta, h, J = path.coefficients(grid)
+            batch = build_hamiltonians(delta, h, J)
+            assert batch.shape == (grid.size, 1 << n, 1 << n)
+            for k, lam in enumerate(grid):
+                system = path.at(lam)
+                # tobytes also tells apart the signs of zeros
+                assert delta[k].tobytes() == system.delta.tobytes()
+                assert h[k].tobytes() == system.h.tobytes()
+                assert J[k].tobytes() == system.J.tobytes()
+                assert batch[k].tobytes() == build_hamiltonian(system).tobytes()
+
+    def test_nonfinite_coefficient_rejected_with_its_lambda(self):
+        base = QubitSystem(delta=[0.5], h=[1e308], J=np.zeros((1, 1)))
+        direction = QubitSystem(delta=[0.0], h=[1e308], J=np.zeros((1, 1)))
+        path = AffinePath(base=base, direction=direction)
+        path.coefficients([-1.0, 0.0])
+        with pytest.raises(ValueError, match="lambda=1.0"):
+            path.coefficients([-1.0, 0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="lambda=inf"):
+            path.coefficients([0.0, np.inf])
+
+    def test_sigma_z_table_is_cached_and_read_only(self):
+        for n in (1, 3, 6):
+            table = sigma_z_table(n)
+            assert table is sigma_z_table(n)
+            assert not table.flags.writeable
+            for i in range(n):
+                assert np.array_equal(table[i], sigma_z_diagonal(i, n))
+        with pytest.raises(ValueError):
+            sigma_z_table(13)

@@ -181,6 +181,11 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             susceptibility_fd(single_qubit(), 0, 0, step=0.0)
 
+    @pytest.mark.parametrize("step", [-1e-4, np.nan, np.inf])
+    def test_rejects_negative_or_nonfinite_step(self, step):
+        with pytest.raises(ValueError, match="fd_step must be positive and finite"):
+            susceptibility_fd(single_qubit(), 0, 0, step=step)
+
     def test_default_step_tracks_coefficient_scale(self):
         assert default_fd_step(single_qubit()) == 1e-4
         big = QubitSystem(delta=[10.0], h=[0.0], J=np.zeros((1, 1)))

@@ -173,3 +173,10 @@ class TestPinnedPairRule:
         gs = ground_state(spec)
         with pytest.raises(ValueError, match="separable"):
             check_pinned_pairs(gs.vector, system)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-7, 1.0, float("inf"), float("nan")])
+def test_schmidt_tol_outside_unit_interval_rejected(tol):
+    state = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="schmidt_tol must be in"):
+        is_fully_separable(state, tol)

@@ -4,14 +4,21 @@ import pytest
 import witness_lab.sweep as sweep_module
 from witness_lab import (
     AffinePath,
+    DegenerateGroundError,
     QubitSystem,
     SweepConfig,
     SweepResult,
+    build_hamiltonian,
     certify_entanglement_on_path,
     detect_anticrossings,
+    diagonalize,
+    ground_state,
     is_fully_separable,
     run_sweep,
+    sigma_z_profile,
+    witness_report,
 )
+from witness_lab.witness import coupling_threshold
 
 
 def uniform_bias_path(base):
@@ -32,11 +39,76 @@ def fm_pair_path():
     )
 
 
-def fm_chain_path(n):
+def fm_chain_path(n, delta=0.2):
     couplings = [(i, i + 1, -1.0) for i in range(n - 1)]
     return uniform_bias_path(
-        QubitSystem.from_couplings([0.2] * n, [0.0] * n, couplings)
+        QubitSystem.from_couplings([delta] * n, [0.0] * n, couplings)
     )
+
+
+def random_path(rng, n):
+    """Random path moving every coefficient: delta, h and J."""
+
+    def symmetric():
+        J = np.triu(rng.uniform(-1.5, 1.5, (n, n)), 1)
+        return J + J.T
+
+    base = QubitSystem(delta=rng.uniform(0.1, 1, n), h=rng.uniform(-1, 1, n), J=symmetric())
+    direction = QubitSystem(
+        delta=rng.uniform(-0.3, 0.3, n), h=rng.uniform(-1, 1, n), J=symmetric()
+    )
+    return AffinePath(base=base, direction=direction)
+
+
+def chunk_points(n):
+    return max(1, sweep_module.SWEEP_CHUNK_BYTES // (8 * 4**n))
+
+
+def per_point_sweep(config, deg_tol=None, fd_step=None):
+    """Reference sweep with one ``QubitSystem`` and one ``build_hamiltonian``
+    per grid point, as ``(lam, energies, gap, sz, degenerate, witnesses)``."""
+    records = []
+    for lam in config.grid:
+        system = config.path.at(lam)
+        spec = diagonalize(build_hamiltonian(system))
+        try:
+            sz = sigma_z_profile(ground_state(spec, deg_tol).vector)
+            degenerate = False
+        except DegenerateGroundError:
+            sz = np.full(system.n, np.nan)
+            degenerate = True
+        witnesses = None
+        if config.compute_witnesses and not degenerate:
+            witnesses = witness_report(
+                spec, system, deg_tol, path=config.path, lambda0=lam, fd_step=fd_step
+            )
+        energies = np.array(spec.energies[: config.track_levels])
+        gap = float(spec.energies[1] - spec.energies[0])
+        records.append((float(lam), energies, gap, sz, degenerate, witnesses))
+    return records
+
+
+def report_key(report):
+    if report is None:
+        return None
+    cuts = [(c.partition.mask, c.n_ab, c.w_tilde, c.w_ab) for c in report.cuts]
+    return cuts, report.w_lambda, report.w_global
+
+
+def assert_bitwise_equal_to_reference(config, **kwargs):
+    result = run_sweep(config, **kwargs)
+    reference = per_point_sweep(config, **kwargs)
+    assert len(result.points) == len(reference) == config.grid.size
+    for point, (lam, energies, gap, sz, degenerate, witnesses) in zip(
+        result.points, reference
+    ):
+        assert point.lam == lam
+        assert point.energies.tobytes() == energies.tobytes()
+        assert np.float64(point.gap).tobytes() == np.float64(gap).tobytes()
+        assert point.sz.tobytes() == sz.tobytes()  # NaN payloads included
+        assert point.degenerate == degenerate
+        assert report_key(point.witnesses) == report_key(witnesses)
+    return result
 
 
 class TestSweepConfig:
@@ -119,17 +191,19 @@ class TestRunSweep:
         assert abs(center.cuts[0].w_tilde) > 0.1
         assert center.w_lambda > 0.1
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-1, 1, 11))
-        serial = run_sweep(config, max_workers=1)
-        threaded = run_sweep(config, max_workers=4)
-        monkeypatch.setenv(sweep_module.THREADS_ENV_VAR, "3")
-        from_env = run_sweep(config)
-        for a in (threaded, from_env):
-            for p, q in zip(serial.points, a.points):
-                assert np.array_equal(p.energies, q.energies)
-                assert np.array_equal(p.sz, q.sz)
-                assert p.gap == q.gap
+    def test_no_system_built_per_grid_point(self, monkeypatch):
+        calls = []
+        original = AffinePath.at
+
+        def counting_at(self, lam):
+            calls.append(lam)
+            return original(self, lam)
+
+        monkeypatch.setattr(AffinePath, "at", counting_at)
+        config = SweepConfig(path=fm_chain_path(4), grid=np.linspace(-2, 2, 41))
+        report = certify_entanglement_on_path(run_sweep(config))
+        assert report.certified_pairs and report.oracle_confirmation is not None
+        assert calls == []
 
     def test_gap_continuity_on_smooth_path(self):
         config = SweepConfig(path=single_qubit_path(0.5), grid=np.linspace(-1, 1, 101))
@@ -138,6 +212,68 @@ class TestRunSweep:
         spacing = 0.02
         slope_scale = 2.0  # |d gap / d lambda| <= 2 for the two-level system
         assert np.abs(np.diff(gaps)).max() <= 10.0 * spacing * slope_scale
+
+
+class TestChunkedSweepMatchesPerPoint:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_grids_around_one_chunk(self, offset):
+        rng = np.random.default_rng(40 + offset)
+        n = 6
+        grid = np.linspace(-1.0, 1.0, chunk_points(n) + offset)
+        assert_bitwise_equal_to_reference(SweepConfig(path=random_path(rng, n), grid=grid))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_three_point_grids_on_random_paths(self, n):
+        rng = np.random.default_rng(70 + n)
+        config = SweepConfig(path=random_path(rng, n), grid=[-0.7, 0.1, 1.3])
+        assert_bitwise_equal_to_reference(config)
+
+    def test_long_grid_over_many_chunks(self):
+        rng = np.random.default_rng(5)
+        n = 5
+        config = SweepConfig(path=random_path(rng, n), grid=np.linspace(-2, 2, 2001))
+        assert chunk_points(n) < 2001 and 2001 % chunk_points(n) != 0
+        assert_bitwise_equal_to_reference(config)
+
+    def test_degenerate_point_inside_a_chunk(self):
+        # classical ferromagnetic chain: all-up and all-down tie at lambda = 0
+        n = 6
+        grid = np.linspace(-1, 1, 21)
+        k = int(np.flatnonzero(grid == 0.0)[0])
+        assert 0 < k % chunk_points(n) < chunk_points(n) - 1
+        config = SweepConfig(path=fm_chain_path(n, delta=0.0), grid=grid)
+        result = assert_bitwise_equal_to_reference(config)
+        assert list(np.flatnonzero(result.degenerate_flags)) == [k]
+
+    def test_all_levels_tracked(self):
+        rng = np.random.default_rng(8)
+        n = 3
+        config = SweepConfig(
+            path=random_path(rng, n), grid=np.linspace(-1, 1, 7), track_levels=1 << n
+        )
+        assert_bitwise_equal_to_reference(config)
+
+    def test_witness_reports_match(self):
+        rng = np.random.default_rng(9)
+        config = SweepConfig(
+            path=random_path(rng, 3), grid=np.linspace(-1, 1, 5), compute_witnesses=True
+        )
+        assert_bitwise_equal_to_reference(config, fd_step=1e-3)
+        base = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)])
+        config = SweepConfig(
+            path=uniform_bias_path(base), grid=[-1.0, 0.0, 1.0], compute_witnesses=True
+        )
+        result = assert_bitwise_equal_to_reference(config)
+        assert result.points[1].degenerate and result.points[1].witnesses is None
+
+    def test_nonfinite_interior_point_rejected(self):
+        base = QubitSystem(delta=[0.5, 0.5], h=[1e308, 0.0], J=np.zeros((2, 2)))
+        direction = QubitSystem(delta=[0.0, 0.0], h=[1e308, 0.0], J=np.zeros((2, 2)))
+        config = SweepConfig(
+            path=AffinePath(base=base, direction=direction), grid=np.linspace(-1, 2, 31)
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            run_sweep(config)
 
 
 class TestDetectAnticrossings:
@@ -189,6 +325,41 @@ class TestDetectAnticrossings:
 
 
 class TestCertification:
+    def test_coupled_everywhere_matches_per_point_threshold(self):
+        rng = np.random.default_rng(11)
+        grid = np.linspace(-2, 2, 41)
+        for trial in range(6):
+            path = random_path(rng, 4)
+            if trial % 2:
+                # J_01 crosses zero exactly at the grid point lambda = 0
+                base_J = np.array(path.base.J)
+                base_J[0, 1] = base_J[1, 0] = 0.0
+                path = AffinePath(
+                    base=QubitSystem(delta=path.base.delta, h=path.base.h, J=base_J),
+                    direction=path.direction,
+                )
+            result = SweepResult(config=SweepConfig(path=path, grid=grid), points=[])
+            coupled = sweep_module._coupled_everywhere(result)
+            for i in range(4):
+                for j in range(4):
+                    expected = all(
+                        abs(path.at(lam).J[i, j]) > coupling_threshold(path.at(lam).J)
+                        for lam in grid
+                    )
+                    assert coupled[i, j] == expected
+            if trial % 2:
+                assert not coupled[0, 1]
+
+    def test_invalid_tolerances_rejected(self):
+        config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-2, 2, 21))
+        result = run_sweep(config)
+        for var_tol in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="var_tol"):
+                certify_entanglement_on_path(result, var_tol=var_tol)
+        for schmidt_tol in (0.0, 1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="schmidt_tol"):
+                certify_entanglement_on_path(result, schmidt_tol=schmidt_tol)
+
     def test_fm_pair_certifies_with_oracle_confirmation(self):
         config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-2, 2, 201))
         result = run_sweep(config)
