@@ -94,7 +94,7 @@ def _check_keys(block: dict, where: str, allowed: set[str], required: set[str]):
 def _number(value, where: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
@@ -117,10 +117,10 @@ def _parse_couplings(raw, where: str) -> list[tuple[int, int, float]]:
 def _parse_system(block: dict, where: str, n_expected: int | None = None) -> QubitSystem:
     required = {"delta", "h"} if n_expected is not None else {"n", "delta", "h"}
     _check_keys(block, where, {"n", "delta", "h", "couplings"}, required)
-    delta = block["delta"]
-    h = block["h"]
-    if not isinstance(delta, list) or not isinstance(h, list):
+    if not isinstance(block["delta"], list) or not isinstance(block["h"], list):
         raise ConfigError(f"{where}.delta and {where}.h must be arrays")
+    delta = [_number(v, f"{where}.delta entry") for v in block["delta"]]
+    h = [_number(v, f"{where}.h entry") for v in block["h"]]
     n = block.get("n", n_expected if n_expected is not None else len(delta))
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"{where}.n must be an integer")

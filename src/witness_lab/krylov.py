@@ -18,7 +18,8 @@ one bit flip per qubit, so it is applied without being stored::
 
 Both return ``None`` when an iteration cap is reached or a true-residual
 check fails, and callers fall back to the dense route: an unconverged result
-is never returned.
+is never returned. So does ``krylov_ground_state`` for coefficients too large
+for the vector norms Lanczos takes; the dense solver scales such matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ START_SEED = 2013
 LANCZOS_MAX_ITER = 300
 LANCZOS_CHECK_EVERY = 5  # Lanczos steps between Ritz convergence checks
 LANCZOS_RTOL = 1e-12  # eigen-residual relative to max(1, ||H||)
+MAX_COEFFICIENT = 1e150  # keeps ||H v|| well below sqrt(float max), where norms overflow
 CG_MAX_ITER = 400
 CG_RTOL = 1e-12  # residual of every system relative to its right-hand side
 TRUE_RESIDUAL_SLACK = 100.0  # recomputed residuals may exceed the tolerance this much
@@ -119,12 +121,14 @@ def krylov_ground_state(
     system: QubitSystem, deg_tol: float | None = None
 ) -> GroundState | None:
     """Gated ground state from two Lanczos runs, or ``None`` if either run
-    does not converge.
+    does not converge or a coefficient exceeds ``MAX_COEFFICIENT``.
 
     Raises ``DegenerateGroundError`` exactly as ``ground_state`` does, with
     the default tolerance taken from the Lanczos estimate of the spectral
     width.
     """
+    if system.coefficient_scale > MAX_COEFFICIENT:
+        return None
     apply_h = hamiltonian_operator(system)
     rng = np.random.default_rng(START_SEED)
     lowest = _lanczos(apply_h, rng.standard_normal(system.dim), None)
@@ -137,8 +141,7 @@ def krylov_ground_state(
     e1 = excited[0]
     v0.setflags(write=False)
     return gate_ground(
-        energy=e0, vector=v0, gap=e1 - e0, width=e_max - e0, deg_tol=deg_tol,
-        route="krylov",
+        energy=e0, vector=v0, excited=e1, top=e_max, deg_tol=deg_tol, route="krylov"
     )
 
 

@@ -19,24 +19,12 @@ products used to embed single-qubit operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_QUBITS = 12  # dense 2^n x 2^n storage; 4096 is the largest dimension
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-IDENTITY_2 = np.eye(2)
-
-
-class PauliAxis(Enum):
-    """Single-qubit operator axis admitted by the real-valued model."""
-
-    X = "x"
-    Z = "z"
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -212,23 +200,6 @@ def sigma_z_diagonal(i: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def embed_pauli(axis: PauliAxis, i: int, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix acting with the given Pauli on qubit ``i``.
-
-    The Kronecker factors run left to right over qubits 0..n-1, which makes
-    qubit 0 the most significant bit of the basis index.
-    """
-    if not isinstance(axis, PauliAxis):
-        raise TypeError(f"axis must be a PauliAxis, got {axis!r}")
-    if not 0 <= i < n <= MAX_QUBITS:
-        raise ValueError(f"require 0 <= i < n <= {MAX_QUBITS}, got i={i}, n={n}")
-    single = PAULI_X if axis is PauliAxis.X else PAULI_Z
-    out = np.array([[1.0]])
-    for k in range(n):
-        out = np.kron(out, single if k == i else IDENTITY_2)
-    return out
-
-
 @lru_cache(maxsize=None)
 def sigma_z_table(n: int) -> np.ndarray:
     """Read-only ``(n, 2^n)`` table whose row ``i`` is ``sigma_z_diagonal(i, n)``.
@@ -284,13 +255,15 @@ def hamiltonian_diagonal(system: QubitSystem) -> np.ndarray:
 def hamiltonian_diagonals(h: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Diagonals of a batch of Hamiltonians, shape ``(m, 2^n)``: the bias and
     coupling terms, accumulated in the canonical order (all biases, then
-    pairs ``i < j``)."""
+    pairs ``i < j``). A sum beyond the float range becomes inf without a
+    numpy warning; ``diagonalize`` rejects the matrix for it."""
     m, n = h.shape
     signs = sigma_z_table(n)
     diag = np.zeros((m, 1 << n))
-    for i in range(n):
-        diag += -h[:, i, None] * signs[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            diag += J[:, i, j, None] * (signs[i] * signs[j])
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            diag += -h[:, i, None] * signs[i]
+        for i in range(n):
+            for j in range(i + 1, n):
+                diag += J[:, i, j, None] * (signs[i] * signs[j])
     return diag

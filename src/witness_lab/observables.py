@@ -1,37 +1,33 @@
-"""Ground-state spin expectations and cross-susceptibilities.
+"""Ground-state spin expectations and the cross-susceptibility matrix.
 
-The cross-susceptibility ``chi_ij = d<sz_i>/dh_j`` is computed along two
-independent routes that are checked against each other in the test suite:
+The cross-susceptibility ``chi_ij = d<sz_i>/dh_j`` has one route per
+solver, and ``ground_response`` picks the solver from the dimension:
 
-* a sum over excited states, ``chi_ij = sum_{k>0} 2 <0|sz_i|k><k|sz_j|0> /
-  (E_k - E_0)`` (both orderings of the matrix elements coincide for real
-  eigenvectors), and
-* a central finite difference of ``<sz_i>`` under a displaced bias ``h_j``.
+* below ``KRYLOV_MIN_DIM``, one dense eigendecomposition and the sum over
+  excited states, ``chi_ij = sum_{k>0} 2 <0|sz_i|k><k|sz_j|0> / (E_k - E_0)``
+  (both orderings of the matrix elements coincide for real eigenvectors),
+  in ``cross_susceptibility_matrix``;
+* at and above it, the matrix-free linear-response solve in ``krylov``, with
+  the dense route as the fallback whenever a Krylov solve does not converge.
 
-Both routes refuse to evaluate near a ground-state degeneracy instead of
-returning a divergent number. ``ground_response`` is the route the
-``witness`` command takes: the sum over states below dimension
-``KRYLOV_MIN_DIM``, the matrix-free linear-response solve in ``krylov`` at
-and above it, with the dense route as the fallback whenever a Krylov solve
-does not converge.
+Both pass the degeneracy gate of ``spectrum`` first instead of returning a
+divergent number. The central finite difference of ``<sz_i>`` under a
+displaced bias ``h_j``, an independent check of either route, lives in the
+test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .krylov import KRYLOV_MIN_DIM, krylov_ground_state, krylov_susceptibility
 from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_table
 from .spectrum import (
-    DegenerateGroundError,
     GroundState,
     Spectrum,
     diagonalize,
     ground_state,
     require_positive_finite,
-    resolve_degeneracy_tolerance,
 )
 
 NORM_TOL = 1e-9
@@ -71,54 +67,20 @@ def sigma_z_profile(state: np.ndarray) -> np.ndarray:
     return np.array([float(np.dot(row * state, state)) for row in signs])
 
 
-def _gated_gaps(spec: Spectrum, deg_tol: float | None) -> np.ndarray:
-    """Excitation energies ``E_k - E_0`` (k > 0); raises
-    ``DegenerateGroundError`` if any is within ``deg_tol``."""
-    width = float(spec.energies[-1] - spec.energies[0])
-    deg_tol = resolve_degeneracy_tolerance(deg_tol, width)
-    gaps = spec.energies[1:] - spec.energies[0]
-    if gaps.size == 0 or float(gaps.min()) <= deg_tol:
-        raise DegenerateGroundError(
-            "sum-over-states susceptibility undefined at a degenerate ground state"
-        )
-    return gaps
-
-
-def _excited_overlaps(spec: Spectrum, i: int, n: int) -> np.ndarray:
-    """Row of matrix elements ``<0|sz_i|k>`` over excited states k > 0."""
-    v0 = spec.states[:, 0]
-    return (sigma_z_table(n)[i] * v0) @ spec.states[:, 1:]
-
-
-def susceptibility_sos(
-    spec: Spectrum, i: int, j: int, deg_tol: float | None = None
-) -> float:
-    """Cross-susceptibility from the sum over excited states.
-
-    Exactly symmetric in ``(i, j)``: the two orderings of the matrix-element
-    product are accumulated together. Any excited level within ``deg_tol``
-    of the ground energy aborts with ``DegenerateGroundError``.
-    """
-    n = _qubit_count(spec.dim)
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"qubit indices ({i}, {j}) out of range for n={n}")
-    gaps = _gated_gaps(spec, deg_tol)
-    ti = _excited_overlaps(spec, i, n)
-    tj = ti if j == i else _excited_overlaps(spec, j, n)
-    return float(np.sum((ti * tj + tj * ti) / gaps))
-
-
 def cross_susceptibility_matrix(
     spec: Spectrum, deg_tol: float | None = None
 ) -> np.ndarray:
-    """Full ``n x n`` susceptibility matrix from one pass over the spectrum.
+    """Full ``n x n`` sum-over-states susceptibility matrix of the gated
+    ground state.
 
-    Bitwise symmetric by construction; agrees with per-pair
-    ``susceptibility_sos`` to floating-point accuracy.
+    Bitwise symmetric by construction. Raises ``DegenerateGroundError``
+    through ``ground_state`` when the ground level is degenerate.
     """
     n = _qubit_count(spec.dim)
-    gaps = _gated_gaps(spec, deg_tol)
-    overlaps = np.vstack([_excited_overlaps(spec, i, n) for i in range(n)])
+    v0 = ground_state(spec, deg_tol).vector
+    gaps = spec.energies[1:] - spec.energies[0]
+    excited = spec.states[:, 1:]
+    overlaps = np.vstack([(row * v0) @ excited for row in sigma_z_table(n)])
     half = (overlaps / gaps) @ overlaps.T
     return half + half.T
 
@@ -158,22 +120,6 @@ def ground_response(
     return ground_state(spec, deg_tol), cross_susceptibility_matrix(spec, deg_tol)
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableRecord:
-    """Ground-state ``<sz_i>`` per qubit plus the susceptibility matrix."""
-
-    sz: np.ndarray
-    chi: np.ndarray
-
-
-def observable_record(spec: Spectrum, deg_tol: float | None = None) -> ObservableRecord:
-    gs = ground_state(spec, deg_tol)
-    return ObservableRecord(
-        sz=sigma_z_profile(gs.vector),
-        chi=cross_susceptibility_matrix(spec, deg_tol),
-    )
-
-
 def default_fd_step(system: QubitSystem) -> float:
     """Central-difference step: 1e-4 of the dominant coefficient scale.
 
@@ -191,51 +137,8 @@ def resolve_fd_step(step: float | None, system: QubitSystem) -> float:
     return require_positive_finite("fd_step", step)
 
 
-def _ground_sz(system: QubitSystem, i: int, deg_tol: float | None) -> float:
-    spec = diagonalize(build_hamiltonian(system))
-    gs = ground_state(spec, deg_tol)
-    return sigma_z_expectation(gs.vector, i)
-
-
-def susceptibility_fd(
-    system: QubitSystem,
-    i: int,
-    j: int,
-    step: float | None = None,
-    deg_tol: float | None = None,
-) -> float:
-    """Cross-susceptibility as a central difference of ``<sz_i>`` in ``h_j``.
-
-    Raises ``DegenerateGroundError`` if either displaced system has a
-    degenerate ground state.
-    """
-    n = system.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"qubit indices ({i}, {j}) out of range for n={n}")
-    step = resolve_fd_step(step, system)
-    plus = _ground_sz(system.with_bias(j, system.h[j] + step), i, deg_tol)
-    minus = _ground_sz(system.with_bias(j, system.h[j] - step), i, deg_tol)
-    return (plus - minus) / (2.0 * step)
-
-
 def ground_sz_on_path(
     path: AffinePath, lam: float, deg_tol: float | None = None
 ) -> np.ndarray:
     """Ground-state ``<sz_i>`` profile of the path's system at ``lam``."""
     return sigma_z_profile(solve_ground_state(path.at(lam), deg_tol).vector)
-
-
-def lambda_susceptibility(
-    path: AffinePath,
-    i: int,
-    lambda0: float = 0.0,
-    step: float | None = None,
-    deg_tol: float | None = None,
-) -> float:
-    """Derivative of ``<sz_i>`` along the path, by central difference."""
-    if not 0 <= i < path.n:
-        raise ValueError(f"qubit index {i} out of range for n={path.n}")
-    step = resolve_fd_step(step, path.at(lambda0))
-    plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
-    minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
-    return float((plus[i] - minus[i]) / (2.0 * step))

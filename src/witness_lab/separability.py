@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import QubitSystem, build_hamiltonian
 from .observables import _check_normalized, _qubit_count, sigma_z_expectation
-from .witness import Bipartition
+from .witness import Bipartition, coupled_pairs
 
 SCHMIDT_TOL = 1e-7  # singular values below this count as zero
 EIGENSTATE_RESIDUAL_TOL = 1e-8
@@ -104,9 +104,10 @@ def check_pinned_pairs(
 ) -> list[tuple[int, int]]:
     """Consequence check for fully separable eigenstates of z-coupled systems.
 
-    Such an eigenstate must have, for every coupled pair, at least one qubit
-    pinned to a sigma_z eigenstate (``|<sz>| = 1``). Returns the coupled
-    pairs where ``max(|<sz_i>|, |<sz_j>|) < 1 - tol``; empty on success.
+    Such an eigenstate must have, for every coupled pair (``coupled_pairs``),
+    at least one qubit pinned to a sigma_z eigenstate (``|<sz>| = 1``).
+    Returns the coupled pairs where ``max(|<sz_i>|, |<sz_j>|) < 1 - tol``;
+    empty on success.
 
     Raises ``ValueError`` if the state is not an eigenstate of the system's
     Hamiltonian (residual above ``residual_tol``) or not fully separable.
@@ -126,8 +127,9 @@ def check_pinned_pairs(
         raise ValueError("state is not fully separable")
     violations = []
     sz = [abs(sigma_z_expectation(state, i)) for i in range(n)]
+    coupled = coupled_pairs(system.J)
     for i in range(n):
         for j in range(i + 1, n):
-            if system.J[i, j] != 0.0 and max(sz[i], sz[j]) < 1.0 - tol:
+            if coupled[i, j] and max(sz[i], sz[j]) < 1.0 - tol:
                 violations.append((i, j))
     return violations

@@ -91,7 +91,7 @@ def default_degeneracy_tolerance(spec: Spectrum) -> float:
     """Scale-free degeneracy threshold: 1e-9 of the spectral width (floored
     at 1e-9 for narrow spectra)."""
     return resolve_degeneracy_tolerance(
-        None, float(spec.energies[-1] - spec.energies[0])
+        None, float(spec.energies[-1]) - float(spec.energies[0])
     )
 
 
@@ -119,17 +119,31 @@ def require_positive_finite(name: str, value: float) -> float:
 def gate_ground(
     energy: float,
     vector: np.ndarray,
-    gap: float,
-    width: float,
+    excited: float,
+    top: float,
     deg_tol: float | None,
     route: str,
 ) -> GroundState:
     """The degeneracy gate shared by every ground-state route.
 
-    Raises ``DegenerateGroundError`` when ``gap <= deg_tol``: a degenerate
-    ground manifold has no preferred state, and the entanglement machinery
-    built on a unique ground state does not apply.
+    ``energy``, ``excited`` and ``top`` are ``E_0``, ``E_1`` and the highest
+    energy (the spectral width ``top - energy`` sets the default tolerance).
+    Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol``: a
+    degenerate ground manifold has no preferred state, and the entanglement
+    machinery built on a unique ground state does not apply. Raises
+    ``ValueError`` when the spectral width overflows, because no gap can be
+    resolved on such a spectrum.
     """
+    # Python floats: an overflowing difference becomes inf without a numpy
+    # warning and is reported below.
+    energy, excited, top = float(energy), float(excited), float(top)
+    width = top - energy
+    if not math.isfinite(width):
+        raise ValueError(
+            f"spectral width E_max - E_0 = {top!r} - {energy!r} overflows; "
+            "the coefficients are too large"
+        )
+    gap = excited - energy
     deg_tol = resolve_degeneracy_tolerance(deg_tol, width)
     if gap <= deg_tol:
         raise DegenerateGroundError(
@@ -147,10 +161,10 @@ def ground_state(spec: Spectrum, deg_tol: float | None = None) -> GroundState:
     if spec.dim < 2:
         raise ValueError("spectrum must contain at least two levels")
     return gate_ground(
-        energy=float(spec.energies[0]),
+        energy=spec.energies[0],
         vector=spec.states[:, 0],
-        gap=float(spec.energies[1] - spec.energies[0]),
-        width=float(spec.energies[-1] - spec.energies[0]),
+        excited=spec.energies[1],
+        top=spec.energies[-1],
         deg_tol=deg_tol,
         route="dense",
     )

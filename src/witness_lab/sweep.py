@@ -32,7 +32,7 @@ from .spectrum import (
     ground_state,
     require_positive_finite,
 )
-from .witness import WitnessReport, coupling_threshold, witness_report
+from .witness import WitnessReport, coupled_pairs, witness_report
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
 SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at n >= 8
@@ -206,12 +206,10 @@ class CertificationReport:
 
 
 def _coupled_everywhere(result: SweepResult) -> np.ndarray:
-    """``(n, n)`` mask of the pairs coupled above ``coupling_threshold`` at
-    every grid point."""
+    """``(n, n)`` mask of the pairs ``coupled_pairs`` marks at every grid
+    point."""
     J = result.config.path.coefficients(result.config.grid)[2]
-    threshold = coupling_threshold(J)
-    # J is a fresh array: taking magnitudes in place saves a grid-sized copy.
-    return (np.abs(J, out=J) > threshold[:, None, None]).all(axis=0)
+    return coupled_pairs(J).all(axis=0)
 
 
 def _find_nonseparable_point(

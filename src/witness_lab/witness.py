@@ -11,6 +11,11 @@ global witness over all cuts are both bounded in [0, 1). A path-based
 witness ``sum_{i<j} |J_ij * chi_i * chi_j|`` with chi taken along a sweep
 direction certifies entanglement without resolving individual cuts.
 
+Every cut is evaluated at once from the cached ``crossing_table`` (which
+pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
+count as coupled: ``N_AB``, ``w_tilde``, path certification and
+``check_pinned_pairs`` all use it.
+
 A nonzero witness is sufficient evidence, never necessary: silent witnesses
 prove nothing.
 """
@@ -19,16 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import MAX_QUBITS, AffinePath, QubitSystem
-from .observables import (
-    cross_susceptibility_matrix,
-    ground_sz_on_path,
-    resolve_fd_step,
-    susceptibility_sos,
-)
+from .observables import cross_susceptibility_matrix, ground_sz_on_path, resolve_fd_step
 from .spectrum import DegenerateGroundError, GroundState, Spectrum, ground_state
 
 COUPLING_RTOL = 1e-12  # |J_ij| above 1e-12 * max(1, max|J|) counts as a coupling
@@ -91,77 +92,61 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(mask=m, n=n) for m in range(1, full, 2)]
 
 
-def coupling_threshold(J: np.ndarray) -> float | np.ndarray:
-    """Value ``|J_ij|`` must exceed to count as a coupling, per matrix over
-    the last two axes (leading axes are a batch)."""
-    return COUPLING_RTOL * np.maximum(1.0, np.abs(J).max(axis=(-2, -1)))
+@lru_cache(maxsize=None)
+def _canonical_cuts(n: int) -> tuple[Bipartition, ...]:
+    return tuple(enumerate_bipartitions(n))
 
 
-def count_crossing_couplings(system: QubitSystem, partition: Bipartition) -> int:
-    """Number of couplings above threshold that cross the cut."""
-    if partition.n != system.n:
-        raise ValueError(
-            f"partition is over {partition.n} qubits but system has {system.n}"
-        )
-    thresh = coupling_threshold(system.J)
-    count = 0
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if partition.crosses(i, j) and abs(system.J[i, j]) > thresh:
-                count += 1
-    return count
+@lru_cache(maxsize=None)
+def crossing_table(n: int) -> np.ndarray:
+    """Read-only ``(2^(n-1) - 1, n(n-1)/2)`` boolean table whose entry
+    ``[c, p]`` is true when pair ``p`` crosses cut ``c``.
+
+    Cuts run in ``enumerate_bipartitions(n)`` order and pairs ``i < j`` in
+    lexicographic order, as ``np.triu_indices(n, 1)`` lists them. A cut and
+    its complement have the same crossing pairs. Cached per ``n``.
+    """
+    masks = np.array([cut.mask for cut in _canonical_cuts(n)])
+    side = (masks[:, None] >> np.arange(n)) & 1
+    i, j = np.triu_indices(n, 1)
+    table = side[:, i] != side[:, j]
+    table.setflags(write=False)
+    return table
 
 
-def witness_ab(w_tilde: float, n_ab: int) -> float:
-    """Normalized per-cut witness ``|w~| / (n_ab + |w~|)`` in [0, 1).
+def coupled_pairs(J: np.ndarray) -> np.ndarray:
+    """Boolean mask of the coupled pairs, ``|J_ij| > COUPLING_RTOL * max(1,
+    max|J|)``, per matrix over the last two axes (leading axes are a batch)."""
+    # The scale first: its |J| temporary is freed before the one compared.
+    scale = np.maximum(1.0, np.abs(J).max(axis=(-2, -1), keepdims=True))
+    return np.abs(J) > COUPLING_RTOL * scale
+
+
+def count_crossing_couplings(system: QubitSystem) -> np.ndarray:
+    """``n_ab`` of every canonical cut, in ``enumerate_bipartitions`` order:
+    the number of coupled pairs crossing it."""
+    table = crossing_table(system.n)
+    i, j = np.triu_indices(system.n, 1)
+    return np.count_nonzero(table & coupled_pairs(system.J)[i, j], axis=1)
+
+
+def witness_ab(
+    w_tilde: float | np.ndarray, n_ab: int | np.ndarray
+) -> float | np.ndarray:
+    """Normalized per-cut witness ``|w~| / (n_ab + |w~|)`` in [0, 1),
+    elementwise over arrays of cuts.
 
     A cut with no couplings can never be certified by this witness, so
     ``n_ab = 0`` maps to 0 by convention.
     """
-    if n_ab < 0:
+    n_ab = np.asarray(n_ab)
+    if np.any(n_ab < 0):
         raise ValueError(f"n_ab must be nonnegative, got {n_ab}")
-    if n_ab == 0:
-        return 0.0
-    magnitude = abs(float(w_tilde))
-    return magnitude / (n_ab + magnitude)
-
-
-def _tilde_from_chi(
-    system: QubitSystem, partition: Bipartition, chi: np.ndarray
-) -> float:
-    # Unordered pairs in lexicographic order: the crossing set and the
-    # summation order are invariant under swapping A and B, so the value for
-    # a cut and its complement is bit-identical.
-    total = 0.0
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if partition.crosses(i, j) and system.J[i, j] != 0.0:
-                total += system.J[i, j] * chi[i, j]
-    return total
-
-
-def witness_tilde_ab(
-    spec: Spectrum,
-    system: QubitSystem,
-    partition: Bipartition,
-    deg_tol: float | None = None,
-) -> float:
-    """Signed cut witness: coupling-weighted sum of crossing susceptibilities.
-
-    Returns exactly 0.0 for cuts with no crossing couplings, without
-    computing any susceptibility.
-    """
-    # Witness values are statements about a unique ground state; refuse to
-    # produce one (even a conventional zero) when the ground is degenerate.
-    ground_state(spec, deg_tol)
-    if count_crossing_couplings(system, partition) == 0:
-        return 0.0
-    total = 0.0
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if partition.crosses(i, j) and system.J[i, j] != 0.0:
-                total += system.J[i, j] * susceptibility_sos(spec, i, j, deg_tol)
-    return total
+    magnitude = np.abs(w_tilde)
+    w_ab = np.divide(
+        magnitude, n_ab + magnitude, out=np.zeros(np.shape(magnitude)), where=n_ab > 0
+    )
+    return w_ab[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +170,28 @@ class WitnessReport:
     w_global: float
 
 
-def _evaluate_cuts(
-    ground: GroundState, chi: np.ndarray, system: QubitSystem
-) -> list[CutWitness]:
+def _global_witness(w_tilde: np.ndarray, n_ab: np.ndarray) -> float:
+    """Geometric mean of ``|w_tilde| / n_ab`` over all cuts, mapped into
+    [0, 1); any silent or uncoupled cut makes it exactly 0."""
+    if not (n_ab.all() and w_tilde.all()):
+        return 0.0
+    # Geometric mean through logs: the product over up to 2^(n-1) - 1 cuts
+    # would overflow long before the mean does. math.log, because numpy's
+    # log differs from the C library's in the last bit on some inputs.
+    ratios = (np.abs(w_tilde) / n_ab).tolist()
+    mean_log = float(np.mean(list(map(math.log, ratios))))
+    if mean_log > 0.0:
+        return 1.0 / (1.0 + math.exp(-mean_log))
+    g = math.exp(mean_log)
+    return g / (1.0 + g)
+
+
+def _report(
+    ground: GroundState,
+    chi: np.ndarray,
+    system: QubitSystem,
+    w_lambda: float | None,
+) -> WitnessReport:
     # Taking a GroundState means the degeneracy gate has passed: chi is only
     # meaningful for a unique ground state. Here only the shapes are checked.
     if ground.vector.shape != (system.dim,) or chi.shape != (system.n, system.n):
@@ -195,58 +199,26 @@ def _evaluate_cuts(
             f"ground state of length {ground.vector.size} and chi of shape "
             f"{chi.shape} do not belong to a {system.n}-qubit system"
         )
-    partitions = enumerate_bipartitions(system.n)
-    cuts = []
-    for partition in partitions:
-        n_ab = count_crossing_couplings(system, partition)
-        if n_ab == 0:
-            w_tilde = 0.0
-        else:
-            w_tilde = _tilde_from_chi(system, partition, chi)
-        cuts.append(
-            CutWitness(
-                partition=partition,
-                w_tilde=w_tilde,
-                n_ab=n_ab,
-                w_ab=witness_ab(w_tilde, n_ab),
-            )
+    partitions = _canonical_cuts(system.n)
+    n_ab = count_crossing_couplings(system)
+    table = crossing_table(system.n)
+    i, j = np.triu_indices(system.n, 1)
+    # Pair by pair in lexicographic order: every cut's sum runs over its
+    # crossing pairs in the same order, so a cut and its complement, and any
+    # per-cut loop in that order, give bitwise the same value.
+    w_tilde = np.zeros(len(partitions))
+    for p in np.flatnonzero(coupled_pairs(system.J)[i, j]):
+        w_tilde[table[:, p]] += system.J[i[p], j[p]] * chi[i[p], j[p]]
+    w_ab = witness_ab(w_tilde, n_ab)
+    cuts = [
+        CutWitness(partition=partition, w_tilde=tilde, n_ab=count, w_ab=value)
+        for partition, tilde, count, value in zip(
+            partitions, w_tilde.tolist(), n_ab.tolist(), w_ab.tolist()
         )
-    return cuts
-
-
-def _dense_cuts(
-    spec: Spectrum, system: QubitSystem, deg_tol: float | None
-) -> list[CutWitness]:
-    ground = ground_state(spec, deg_tol)
-    return _evaluate_cuts(ground, cross_susceptibility_matrix(spec, deg_tol), system)
-
-
-def _global_from_cuts(cuts: list[CutWitness]) -> float:
-    logs = []
-    for cut in cuts:
-        if cut.n_ab == 0 or cut.w_tilde == 0.0:
-            return 0.0
-        logs.append(math.log(abs(cut.w_tilde) / cut.n_ab))
-    # Geometric mean through logs: the product over up to 2^(n-1) - 1 cuts
-    # would overflow long before the mean does.
-    mean_log = float(np.mean(logs))
-    if mean_log > 0.0:
-        return 1.0 / (1.0 + math.exp(-mean_log))
-    g = math.exp(mean_log)
-    return g / (1.0 + g)
-
-
-def witness_global(
-    spec: Spectrum, system: QubitSystem, deg_tol: float | None = None
-) -> float:
-    """Geometric-mean witness over all cuts, mapped into [0, 1).
-
-    Any silent or uncoupled cut forces the result to exactly 0; a positive
-    value certifies that every part is entangled with every other part.
-    """
-    if system.n < 2:
-        raise ValueError(f"global witness requires n >= 2, got n={system.n}")
-    return _global_from_cuts(_dense_cuts(spec, system, deg_tol))
+    ]
+    return WitnessReport(
+        cuts=cuts, w_lambda=w_lambda, w_global=_global_witness(w_tilde, n_ab)
+    )
 
 
 def witness_lambda(
@@ -288,16 +260,15 @@ def witness_report(
     a degenerate difference stencil leaves it ``None`` instead of failing
     the whole report.
     """
-    cuts = _dense_cuts(spec, system, deg_tol)
+    ground = ground_state(spec, deg_tol)
+    chi = cross_susceptibility_matrix(spec, deg_tol)
     w_lambda = None
     if path is not None:
         try:
             w_lambda = witness_lambda(path, lambda0, fd_step, deg_tol)
         except DegenerateGroundError:
             w_lambda = None
-    return WitnessReport(
-        cuts=cuts, w_lambda=w_lambda, w_global=_global_from_cuts(cuts)
-    )
+    return _report(ground, chi, system, w_lambda)
 
 
 def assemble_witness_report(
@@ -306,5 +277,4 @@ def assemble_witness_report(
     """Per-cut and global witnesses from a gated ground state and its
     susceptibility matrix, as ``ground_response`` returns them; ``w_lambda``
     stays ``None``."""
-    cuts = _evaluate_cuts(ground, chi, system)
-    return WitnessReport(cuts=cuts, w_lambda=None, w_global=_global_from_cuts(cuts))
+    return _report(ground, chi, system, None)

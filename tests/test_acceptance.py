@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_couplings
+from conftest import random_couplings, susceptibility_fd
 
 from witness_lab import (
     AffinePath,
@@ -23,17 +23,14 @@ from witness_lab import (
     default_fd_step,
     detect_anticrossings,
     diagonalize,
+    ground_response,
     ground_state,
     is_fully_separable,
     is_separable,
     run_sweep,
     schmidt_coefficients,
     sigma_z_expectation,
-    susceptibility_fd,
-    susceptibility_sos,
-    witness_global,
     witness_report,
-    witness_tilde_ab,
 )
 
 
@@ -47,6 +44,11 @@ def _report(num: int, label: str, ok: bool, detail: str, started: float, budget:
 
 def random_canonical_cut(rng, n):
     return Bipartition((int(rng.integers(0, (1 << (n - 1)) - 1)) << 1) | 1, n)
+
+
+def cut_w_tilde(spec, system, cut):
+    """``w_tilde`` of a canonical ``cut`` from the dense witness report."""
+    return witness_report(spec, system).cuts[cut.mask >> 1].w_tilde
 
 
 def test_criterion_1_witness_soundness_on_disconnected_cuts():
@@ -67,7 +69,7 @@ def test_criterion_1_witness_soundness_on_disconnected_cuts():
         )
         spec = diagonalize(build_hamiltonian(system))
         try:
-            value = witness_tilde_ab(spec, system, cut)
+            value = cut_w_tilde(spec, system, cut)
             gs = ground_state(spec)
         except DegenerateGroundError:
             continue
@@ -93,7 +95,7 @@ def test_criterion_2_pinned_qubit_instance():
     cut = Bipartition(1, 2)
 
     schmidt = schmidt_coefficients(gs.vector, cut, tol=1e-7)
-    w_tilde = witness_tilde_ab(spec, system, cut)
+    w_tilde = cut_w_tilde(spec, system, cut)
     sz0 = sigma_z_expectation(gs.vector, 0)
     sz1 = sigma_z_expectation(gs.vector, 1)
 
@@ -169,7 +171,7 @@ def test_criterion_4_single_qubit_analytic():
     started = time.monotonic()
     system = QubitSystem(delta=[1.0], h=[0.0], J=np.zeros((1, 1)))
     spec = diagonalize(build_hamiltonian(system))
-    sos = susceptibility_sos(spec, 0, 0)
+    sos = float(cross_susceptibility_matrix(spec)[0, 0])
     fd = susceptibility_fd(system, 0, 0, step=1e-4)
     ok = abs(sos - 2.0) <= 1e-9 and abs(fd - 2.0) <= 1e-6
     _report(
@@ -266,9 +268,9 @@ def test_criterion_6_boundedness_and_conventions():
     spec = diagonalize(build_hamiltonian(degenerate))
     raised = 0
     for call in (
-        lambda: susceptibility_sos(spec, 0, 1),
-        lambda: witness_tilde_ab(spec, degenerate, Bipartition(1, 2)),
-        lambda: witness_global(spec, degenerate),
+        lambda: cross_susceptibility_matrix(spec),
+        lambda: witness_report(spec, degenerate),
+        lambda: ground_response(degenerate),
     ):
         with pytest.raises(DegenerateGroundError):
             call()

@@ -152,6 +152,32 @@ class TestConfigValidation:
         assert code == 2
         assert "couplings value must be a number" in err
 
+    @pytest.mark.parametrize("value", [{}, [1], "x", None])
+    @pytest.mark.parametrize(
+        "where", ["system", "sweep.direction", "witness.lambda_direction"]
+    )
+    @pytest.mark.parametrize("field", ["delta", "h"])
+    def test_non_numeric_delta_or_h_entry(self, tmp_path, capsys, value, where, field):
+        doc = json.loads(json.dumps(CONSTANT_PATH))
+        block = doc
+        for key in where.split("."):
+            block = block[key]
+        block[field][0] = value
+        command = "sweep" if where == "sweep.direction" else "witness"
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert f"{where}.{field} entry must be a number" in err
+        assert out == ""
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        text = json.dumps(PINNED).replace("5.0", "1" + "0" * 400)
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(path))
+        assert code == 2
+        assert "system.h entry must be a number" in err
+        assert out == ""
+
     def test_negative_grid_num(self, tmp_path, capsys):
         doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": {"start": -1.0, "stop": 1.0, "num": -5}}}
         code, _, err = run_cli(capsys, "sweep", "--config", write_config(tmp_path, doc))
@@ -478,6 +504,42 @@ class TestTolerances:
             assert code == 2
             assert err == "config error: path coefficients are not finite at lambda=0.8\n"
             assert out == ""
+
+
+class TestOverflowingSpectrum:
+    # E_max - E_0 is about 3e308, beyond the largest double, so no gap can be
+    # resolved; every command that gates the ground state must say so.
+    HUGE_BIAS = {
+        **CONSTANT_PATH,
+        "system": {"n": 2, "delta": [0.2, 0.2], "h": [1.5e308, 0.0], "couplings": []},
+    }
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "--ground"], ["witness"], ["sweep"], ["certify"]]
+    )
+    def test_exits_2_naming_the_overflow(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, self.HUGE_BIAS)
+        code, out, err = run_cli(capsys, argv[0], "--config", cfg, *argv[1:])
+        assert code == 2
+        assert err.startswith("config error: spectral width E_max - E_0 = ")
+        assert "overflows" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "witness"])
+    def test_overflowing_diagonal_exits_2(self, tmp_path, capsys, command):
+        doc = {"system": {"n": 2, "delta": [0.2, 0.2], "h": [1e308, 0.0],
+                          "couplings": [[0, 1, 1e308]]}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert err == "config error: matrix must contain only finite values\n"
+        assert out == ""
+
+    def test_plain_spectrum_still_prints_the_levels(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.HUGE_BIAS)
+        code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()) == 5
 
 
 class TestDeterminismAndRoundTrip:

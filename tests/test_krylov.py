@@ -215,6 +215,26 @@ def test_path_profile_and_lambda_witness_agree_with_dense(monkeypatch):
     assert abs(fast - dense) <= 1e-8 * max(1.0, abs(dense))
 
 
+def test_oversized_coefficients_take_the_dense_route(tmp_path):
+    # Lanczos squares vector entries inside norms, so coefficients above
+    # MAX_COEFFICIENT go to the dense solver, which scales the matrix. The
+    # ground state of s * H is that of H, and chi scales as 1 / s.
+    base = random_all_to_all(10, 8)
+    scale = 1e151
+    large = QubitSystem(delta=scale * base.delta, h=scale * base.h, J=scale * base.J)
+    ground, chi = ground_response(large)
+    assert ground.route == "dense"
+    reference_ground, reference_chi = ground_response(base)
+    assert abs(ground.gap / scale - reference_ground.gap) <= 1e-10
+    assert np.max(np.abs(chi * scale - reference_chi)) <= 1e-10
+    h = np.array(base.h)
+    h[0] = 1.5e308
+    huge = QubitSystem(delta=base.delta, h=h, J=base.J)
+    with pytest.raises(ValueError, match="spectral width .* overflows"):
+        ground_response(huge)
+    assert witness_exit_code(tmp_path, huge) == 2
+
+
 def test_import_pulls_in_no_scipy():
     code = (
         "import sys, witness_lab; "

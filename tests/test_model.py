@@ -4,11 +4,9 @@ from conftest import SX, SZ, brute_hamiltonian, kron_op
 
 from witness_lab import (
     AffinePath,
-    PauliAxis,
     QubitSystem,
     build_hamiltonian,
     build_hamiltonians,
-    embed_pauli,
     sigma_z_diagonal,
 )
 from witness_lab.model import sigma_z_table
@@ -34,18 +32,27 @@ def random_path(rng, n, moving=("delta", "h", "J")):
     return AffinePath(base=base, direction=direction)
 
 
+def transverse_term(i, n):
+    """``sx_i`` as the library embeds it: ``H`` with ``delta_i = -2`` alone."""
+    delta = np.zeros(n)
+    delta[i] = -2.0
+    return build_hamiltonian(QubitSystem(delta=delta, h=np.zeros(n), J=np.zeros((n, n))))
+
+
 class TestEmbedPauli:
+    """Single-qubit Paulis embedded in the 2^n space: ``sz_i`` through
+    ``sigma_z_diagonal``, ``sx_i`` through the transverse term of
+    ``build_hamiltonian``."""
+
     def test_single_qubit_z(self):
-        assert np.array_equal(embed_pauli(PauliAxis.Z, 0, 1), np.diag([1.0, -1.0]))
+        assert np.array_equal(sigma_z_diagonal(0, 1), [1.0, -1.0])
 
     def test_z_on_second_qubit_is_lsb(self):
         # qubit 1 of 2 occupies the least significant bit
-        assert np.array_equal(
-            embed_pauli(PauliAxis.Z, 1, 2), np.diag([1.0, -1.0, 1.0, -1.0])
-        )
+        assert np.array_equal(sigma_z_diagonal(1, 2), [1.0, -1.0, 1.0, -1.0])
 
     def test_x_on_first_qubit_flips_msb(self):
-        X0 = embed_pauli(PauliAxis.X, 0, 2)
+        X0 = transverse_term(0, 2)
         expected = np.zeros((4, 4))
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1.0
         assert np.array_equal(X0, expected)
@@ -53,31 +60,28 @@ class TestEmbedPauli:
     def test_matches_kron_oracle(self):
         for n in (1, 2, 3, 4):
             for i in range(n):
-                assert np.array_equal(embed_pauli(PauliAxis.X, i, n), kron_op(SX, i, n))
-                assert np.array_equal(embed_pauli(PauliAxis.Z, i, n), kron_op(SZ, i, n))
+                assert np.array_equal(transverse_term(i, n), kron_op(SX, i, n))
 
     def test_entries_and_symmetry(self):
-        for axis in (PauliAxis.X, PauliAxis.Z):
-            M = embed_pauli(axis, 1, 3)
-            assert np.array_equal(M, M.T)
-            assert set(np.unique(M)) <= {-1.0, 0.0, 1.0}
+        M = transverse_term(1, 3)
+        assert np.array_equal(M, M.T)
+        assert set(np.unique(M)) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(sigma_z_diagonal(1, 3))) == {-1.0, 1.0}
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            embed_pauli(PauliAxis.Z, 2, 2)
+            sigma_z_diagonal(2, 2)
         with pytest.raises(ValueError):
-            embed_pauli(PauliAxis.Z, -1, 2)
+            sigma_z_diagonal(-1, 2)
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
-            embed_pauli(PauliAxis.X, 0, 13)
+            sigma_z_diagonal(0, 13)
 
     def test_sigma_z_diagonal_matches_embed(self):
         for n in (1, 2, 3):
             for i in range(n):
-                assert np.array_equal(
-                    sigma_z_diagonal(i, n), np.diag(embed_pauli(PauliAxis.Z, i, n))
-                )
+                assert np.array_equal(sigma_z_diagonal(i, n), np.diag(kron_op(SZ, i, n)))
 
 
 class TestBuildHamiltonian:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import brute_chi_sos, brute_ground, random_couplings
+from conftest import (
+    brute_chi_sos,
+    brute_ground,
+    lambda_susceptibility,
+    random_couplings,
+    susceptibility_fd,
+)
 
 from witness_lab import (
     AffinePath,
@@ -10,13 +16,10 @@ from witness_lab import (
     cross_susceptibility_matrix,
     default_fd_step,
     diagonalize,
-    lambda_susceptibility,
-    observable_record,
     sigma_z_expectation,
     sigma_z_profile,
-    susceptibility_fd,
-    susceptibility_sos,
 )
+from witness_lab.observables import resolve_fd_step
 
 
 def spectrum_of(system):
@@ -71,49 +74,46 @@ class TestSigmaZExpectation:
 class TestSumOverStates:
     def test_single_qubit_analytic(self):
         # d<sz>/dh of h/sqrt(h^2 + delta^2/4) at h=0 is 2/delta
-        chi = susceptibility_sos(spectrum_of(single_qubit()), 0, 0)
-        assert abs(chi - 2.0) <= 1e-9
+        chi = cross_susceptibility_matrix(spectrum_of(single_qubit()))
+        assert abs(chi[0, 0] - 2.0) <= 1e-9
 
     def test_uncoupled_qubits_have_zero_cross_term(self):
         system = QubitSystem(delta=[1.0, 0.7], h=[0.2, -0.1], J=np.zeros((2, 2)))
-        chi = susceptibility_sos(spectrum_of(system), 0, 1)
-        assert abs(chi) <= 1e-12
+        chi = cross_susceptibility_matrix(spectrum_of(system))
+        assert abs(chi[0, 1]) <= 1e-12
 
     def test_symmetric_and_matches_fd(self):
         system = QubitSystem.from_couplings([1.0, 1.0], [0.1, 0.2], [(0, 1, -0.5)])
-        spec = spectrum_of(system)
-        c01 = susceptibility_sos(spec, 0, 1)
-        c10 = susceptibility_sos(spec, 1, 0)
-        assert abs(c01 - c10) <= 1e-9
+        chi = cross_susceptibility_matrix(spectrum_of(system))
+        assert chi[0, 1] == chi[1, 0]
         fd = susceptibility_fd(system, 0, 1)
-        assert abs(c01 - fd) <= 1e-5 * max(1.0, abs(c01))
+        assert abs(chi[0, 1] - fd) <= 1e-5 * max(1.0, abs(chi[0, 1]))
 
     def test_matches_brute_force_formula(self):
         rng = np.random.default_rng(21)
         system = random_system(rng, 3)
-        spec = spectrum_of(system)
+        chi = cross_susceptibility_matrix(spectrum_of(system))
         energies, vectors = brute_ground(system.delta, system.h, system.J)
         for i in range(3):
             for j in range(3):
                 expected = brute_chi_sos(energies, vectors, i, j, 3)
-                got = susceptibility_sos(spec, i, j)
-                assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+                assert abs(chi[i, j] - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_degenerate_ground_raises(self):
         system = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, 1.0)])
         spec = spectrum_of(system)
         with pytest.raises(DegenerateGroundError):
-            susceptibility_sos(spec, 0, 1)
+            cross_susceptibility_matrix(spec)
 
     def test_matrix_agrees_with_pairs_and_is_symmetric(self):
         rng = np.random.default_rng(8)
         system = random_system(rng, 4)
-        spec = spectrum_of(system)
-        chi = cross_susceptibility_matrix(spec)
+        chi = cross_susceptibility_matrix(spectrum_of(system))
         assert np.array_equal(chi, chi.T)
+        energies, vectors = brute_ground(system.delta, system.h, system.J)
         for i in range(4):
             for j in range(4):
-                pair = susceptibility_sos(spec, i, j)
+                pair = brute_chi_sos(energies, vectors, i, j, 4)
                 assert abs(chi[i, j] - pair) <= 1e-9 * max(1.0, abs(pair))
 
     def test_diagonal_nonnegative(self):
@@ -162,9 +162,10 @@ class TestFiniteDifference:
             if gap < 0.1:  # keep the fixed step inside its validity window
                 continue
             step = default_fd_step(system)
+            chi = cross_susceptibility_matrix(spec)
             for i in range(4):
                 for j in range(4):
-                    sos = susceptibility_sos(spec, i, j)
+                    sos = chi[i, j]
                     fd = susceptibility_fd(system, i, j, step=step)
                     assert abs(fd - sos) <= 1e-5 * max(1.0, abs(sos))
             checked += 1
@@ -179,12 +180,12 @@ class TestFiniteDifference:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            susceptibility_fd(single_qubit(), 0, 0, step=0.0)
+            resolve_fd_step(0.0, single_qubit())
 
     @pytest.mark.parametrize("step", [-1e-4, np.nan, np.inf])
     def test_rejects_negative_or_nonfinite_step(self, step):
         with pytest.raises(ValueError, match="fd_step must be positive and finite"):
-            susceptibility_fd(single_qubit(), 0, 0, step=step)
+            resolve_fd_step(step, single_qubit())
 
     def test_default_step_tracks_coefficient_scale(self):
         assert default_fd_step(single_qubit()) == 1e-4
@@ -217,7 +218,7 @@ class TestLambdaSusceptibility:
             direction=QubitSystem(delta=[0.0, 0.0], h=[1.0, 0.0], J=np.zeros((2, 2))),
         )
         chi_path = lambda_susceptibility(path, 1, lambda0=0.0, step=1e-6)
-        chi_10 = susceptibility_sos(spectrum_of(system), 1, 0)
+        chi_10 = cross_susceptibility_matrix(spectrum_of(system))[1, 0]
         assert chi_path != 0.0
         assert abs(chi_path - chi_10) <= 1e-4 * max(1.0, abs(chi_10))
 
@@ -228,14 +229,3 @@ class TestLambdaSusceptibility:
         )
         with pytest.raises(ValueError):
             lambda_susceptibility(path, 1)
-
-
-class TestObservableRecord:
-    def test_record_shape_and_invariants(self):
-        rng = np.random.default_rng(13)
-        system = random_system(rng, 3)
-        record = observable_record(spectrum_of(system))
-        assert record.sz.shape == (3,)
-        assert record.chi.shape == (3, 3)
-        assert np.all(np.abs(record.sz) <= 1.0 + 1e-12)
-        assert np.abs(record.chi - record.chi.T).max() <= 1e-9

@@ -8,21 +8,30 @@ from witness_lab import (
     DegenerateGroundError,
     QubitSystem,
     build_hamiltonian,
-    count_crossing_couplings,
+    crossing_table,
     diagonalize,
     enumerate_bipartitions,
+    ground_response,
     ground_state,
     is_separable,
     witness_ab,
-    witness_global,
     witness_lambda,
     witness_report,
-    witness_tilde_ab,
 )
 
 
 def spectrum_of(system):
     return diagonalize(build_hamiltonian(system))
+
+
+def report_of(system):
+    return witness_report(spectrum_of(system), system)
+
+
+def cut_in(report, cut):
+    """The report's row for ``cut``, which may be given in either orientation."""
+    mask = cut.canonical().mask
+    return next(row for row in report.cuts if row.partition.mask == mask)
 
 
 def fm_pair():
@@ -100,22 +109,20 @@ class TestWitnessAb:
 class TestWitnessTilde:
     def test_uncoupled_cut_is_exact_zero(self):
         system = QubitSystem(delta=[1.0, 0.7], h=[0.2, -0.4], J=np.zeros((2, 2)))
-        spec = spectrum_of(system)
-        assert witness_tilde_ab(spec, system, Bipartition(1, 2)) == 0.0
+        assert report_of(system).cuts[0].w_tilde == 0.0
 
     def test_pinned_pair_silent_despite_coupling(self):
         system = pinned_pair()
         spec = spectrum_of(system)
-        cut = Bipartition(1, 2)
-        assert count_crossing_couplings(system, cut) == 1
+        cut = witness_report(spec, system).cuts[0]
+        assert cut.n_ab == 1
         gs_vec = spec.states[:, 0]
-        assert is_separable(gs_vec, cut, tol=1e-7)
-        assert abs(witness_tilde_ab(spec, system, cut)) <= 1e-8
+        assert is_separable(gs_vec, cut.partition, tol=1e-7)
+        assert abs(cut.w_tilde) <= 1e-8
 
     def test_fm_pair_loud_and_matches_brute_force(self):
         system = fm_pair()
-        spec = spectrum_of(system)
-        value = witness_tilde_ab(spec, system, Bipartition(1, 2))
+        value = report_of(system).cuts[0].w_tilde
         assert abs(value) > 0.1
         energies, vectors = brute_ground(system.delta, system.h, system.J)
         expected = system.J[0, 1] * brute_chi_sos(energies, vectors, 0, 1, 2)
@@ -140,43 +147,40 @@ class TestWitnessTilde:
             spec = spectrum_of(system)
             cut = Bipartition(1 << k, n)
             try:
-                value = witness_tilde_ab(spec, system, cut)
+                row = cut_in(witness_report(spec, system), cut)
                 gs = ground_state(spec)
             except DegenerateGroundError:
                 continue
-            assert count_crossing_couplings(system, cut) == n - 1
+            assert row.n_ab == n - 1
             assert is_separable(gs.vector, cut)
-            assert abs(value) <= 1e-8
+            assert abs(row.w_tilde) <= 1e-8
             done += 1
         assert done == 20
 
     def test_complement_symmetry(self):
-        rng = np.random.default_rng(1)
-        system = QubitSystem(
-            delta=rng.uniform(0.3, 1.0, 4),
-            h=rng.uniform(-1, 1, 4),
-            J=random_couplings(rng, 4),
-        )
-        spec = spectrum_of(system)
-        for cut in enumerate_bipartitions(4):
-            a = witness_tilde_ab(spec, system, cut)
-            b = witness_tilde_ab(spec, system, cut.complement())
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+        # a cut and its complement have the same crossing pairs, so the
+        # table's row for a canonical cut serves both orientations
+        for n in range(2, 7):
+            i, j = np.triu_indices(n, 1)
+            table = crossing_table(n)
+            for row, cut in zip(table, enumerate_bipartitions(n), strict=True):
+                other = cut.complement()
+                assert not other.is_canonical
+                assert list(row) == [other.crosses(a, b) for a, b in zip(i, j)]
+                assert list(row) == [cut.crosses(a, b) for a, b in zip(i, j)]
 
     def test_degenerate_ground_raises(self):
         system = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)])
-        spec = spectrum_of(system)
         with pytest.raises(DegenerateGroundError):
-            witness_tilde_ab(spec, system, Bipartition(1, 2))
+            report_of(system)
 
     def test_degenerate_ground_raises_even_without_couplings(self):
-        # the disconnected-cut shortcut must not mask a degenerate ground
+        # an uncoupled cut must not mask a degenerate ground
         system = QubitSystem(delta=[0.0, 1.0], h=[0.0, 0.0], J=np.zeros((2, 2)))
-        spec = spectrum_of(system)
         with pytest.raises(DegenerateGroundError):
-            witness_tilde_ab(spec, system, Bipartition(1, 2))
+            report_of(system)
         with pytest.raises(DegenerateGroundError):
-            witness_global(spec, system)
+            ground_response(system)
 
 
 class TestWitnessGlobal:
@@ -185,18 +189,14 @@ class TestWitnessGlobal:
         system = QubitSystem.from_couplings(
             [0.5, 0.5, 0.5], [0.1, -0.2, 0.3], [(0, 1, -0.8)]
         )
-        spec = spectrum_of(system)
-        assert witness_global(spec, system) == 0.0
+        assert report_of(system).w_global == 0.0
 
     def test_pinned_pair_near_zero(self):
-        system = pinned_pair()
-        spec = spectrum_of(system)
-        assert abs(witness_global(spec, system)) <= 1e-8
+        assert abs(report_of(pinned_pair()).w_global) <= 1e-8
 
     def test_fm_triangle_strictly_inside_unit_interval(self):
         system = fm_triangle()
-        spec = spectrum_of(system)
-        value = witness_global(spec, system)
+        value = report_of(system).w_global
         assert 0.0 < value < 1.0
         # brute-force evaluation of all three cuts of the 8x8 system
         energies, vectors = brute_ground(system.delta, system.h, system.J)
@@ -214,8 +214,8 @@ class TestWitnessGlobal:
 
     def test_requires_two_qubits(self):
         system = QubitSystem(delta=[1.0], h=[0.0], J=np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            witness_global(spectrum_of(system), system)
+        with pytest.raises(ValueError, match="require 2 <= n"):
+            report_of(system)
 
 
 class TestWitnessLambda:
@@ -266,7 +266,9 @@ class TestWitnessReport:
             assert 0.0 <= cut.w_ab < 1.0
             assert cut.w_ab == witness_ab(cut.w_tilde, cut.n_ab)
         assert report.w_lambda is None
-        assert abs(report.w_global - witness_global(spec, system)) == 0.0
+        logs = [np.log(abs(cut.w_tilde) / cut.n_ab) for cut in report.cuts]
+        g = float(np.exp(np.mean(logs)))
+        assert abs(report.w_global - g / (1.0 + g)) <= 1e-12
 
     def test_report_with_path_populates_lambda(self):
         system = fm_pair()
@@ -333,7 +335,7 @@ class TestWitnessReport:
             )
             spec = spectrum_of(system)
             try:
-                value = witness_tilde_ab(spec, system, cut)
+                value = cut_in(witness_report(spec, system), cut).w_tilde
                 gs_vec = spec.states[:, 0]
                 if spec.energies[1] - spec.energies[0] <= 1e-6:
                     continue
