@@ -8,11 +8,9 @@ from .model import (
     QubitSystem,
     build_hamiltonian,
     build_hamiltonians,
-    sigma_z_diagonal,
 )
 from .observables import (
     cross_susceptibility_matrix,
-    default_fd_step,
     ground_response,
     ground_sz_on_path,
     sigma_z_expectation,
@@ -20,17 +18,14 @@ from .observables import (
 )
 from .separability import (
     SCHMIDT_TOL,
-    SchmidtData,
     check_pinned_pairs,
     is_fully_separable,
     is_separable,
-    schmidt_coefficients,
 )
 from .spectrum import (
     DegenerateGroundError,
     GroundState,
     Spectrum,
-    default_degeneracy_tolerance,
     diagonalize,
     ground_state,
 )
@@ -51,7 +46,6 @@ from .witness import (
     count_crossing_couplings,
     coupled_pairs,
     crossing_table,
-    enumerate_bipartitions,
     witness_ab,
     witness_lambda,
     witness_report,
@@ -67,7 +61,6 @@ __all__ = [
     "DegenerateGroundError",
     "GroundState",
     "QubitSystem",
-    "SchmidtData",
     "Spectrum",
     "SweepConfig",
     "SweepPoint",
@@ -82,19 +75,14 @@ __all__ = [
     "coupled_pairs",
     "cross_susceptibility_matrix",
     "crossing_table",
-    "default_degeneracy_tolerance",
-    "default_fd_step",
     "detect_anticrossings",
     "diagonalize",
-    "enumerate_bipartitions",
     "ground_response",
     "ground_state",
     "ground_sz_on_path",
     "is_fully_separable",
     "is_separable",
     "run_sweep",
-    "schmidt_coefficients",
-    "sigma_z_diagonal",
     "sigma_z_expectation",
     "sigma_z_profile",
     "witness_ab",

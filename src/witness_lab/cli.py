@@ -26,9 +26,12 @@ and ``tolerances`` holds defaults that the command-line flags override::
 
 Couplings are upper-triangle ``[i, j, value]`` entries with ``i < j``;
 unknown keys anywhere are rejected. Tolerances are validated once, flags
-over config keys, before any command runs. Floats are printed in their
-shortest round-trip form, rows end with LF, and identical configs produce
-byte-identical output.
+over config keys, before any command runs. The ``lambda`` row of ``witness``
+is the exact path response (``witness_lambda``), so ``fd_step`` is accepted
+and validated but has no effect. Floats are printed in their shortest
+round-trip form, rows end with LF, and identical configs produce
+byte-identical output; a degenerate sweep point leaves its ``sz_i`` fields
+empty, so no ``nan`` is printed.
 
 Exit codes: 0 success (certify: entanglement certified), 1 clean negative
 finding (certify: nothing certified), 2 invalid input, 3 degenerate ground
@@ -285,6 +288,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to parse") from exc
     return parse_config(document)
 
 
@@ -336,12 +341,7 @@ def _cmd_witness(
             f"0x{cut.partition.mask:x},{cut.n_ab},{_fmt(cut.w_tilde)},{_fmt(cut.w_ab)}"
         )
     if config.witness_path is not None:
-        value = witness_lambda(
-            config.witness_path,
-            config.witness_lambda0,
-            tol["fd_step"],
-            deg_tol,
-        )
+        value = witness_lambda(config.witness_path, config.witness_lambda0, deg_tol)
         rows.append(f"lambda,,,{_fmt(value)}")
     rows.append(f"global,,,{_fmt(report.w_global)}")
     return EXIT_OK, rows, []
@@ -354,7 +354,7 @@ def _sweep_result(config: RunConfig, args, tol: dict):
     sweep_config = SweepConfig(
         path=config.sweep_path, grid=config.grid, track_levels=track_levels
     )
-    return run_sweep(sweep_config, deg_tol=tol["deg_tol"], fd_step=tol["fd_step"])
+    return run_sweep(sweep_config, deg_tol=tol["deg_tol"])
 
 
 def _cmd_sweep(
@@ -377,7 +377,7 @@ def _cmd_sweep(
                 [_fmt(point.lam)]
                 + [_fmt(e) for e in point.energies]
                 + [_fmt(point.gap)]
-                + [_fmt(s) for s in point.sz]
+                + ["" if point.degenerate else _fmt(s) for s in point.sz]
                 + [_fmt_bool(point.degenerate)]
             )
         )
@@ -475,13 +475,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code, rows, summaries = _COMMANDS[args.command](config, args, tolerances)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DegenerateGroundError as exc:
         print(f"DegenerateGround: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

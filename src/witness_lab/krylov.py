@@ -1,4 +1,4 @@
-"""Matrix-free ground state and linear-response susceptibilities.
+"""Matrix-free ground state and linear responses.
 
 ``H`` has ``n + 1`` nonzeros per row, its diagonal (biases and couplings) and
 one bit flip per qubit, so it is applied without being stored::
@@ -15,8 +15,11 @@ one bit flip per qubit, so it is applied without being stored::
   ``chi_ij = 2 <0|sz_i|x_j>`` with ``(H - E_0) x_j = Q sz_j |0>`` solved on
   the complement of the ground state, all ``j`` at once, by breakdown-free
   block conjugate gradients (Ji & Li 2017).
+* ``krylov_path_response``: the same correction-vector solve for the
+  single right-hand side ``Q V|0>`` of a path direction ``V`` gives
+  ``d<sz_i>/dlambda = -2 <0|sz_i|x>``.
 
-Both return ``None`` when an iteration cap is reached or a true-residual
+All three return ``None`` when an iteration cap is reached or a true-residual
 check fails, and callers fall back to the dense route: an unconverged result
 is never returned. So does ``krylov_ground_state`` for coefficients too large
 for the vector norms Lanczos takes; the dense solver scales such matrices.
@@ -191,14 +194,12 @@ def _block_cg(
     return X
 
 
-def krylov_susceptibility(
-    system: QubitSystem, ground: GroundState
-) -> np.ndarray | None:
-    """Full ``n x n`` susceptibility matrix by linear response around a
-    gated ground state, or ``None`` if block CG does not converge.
-
-    Bitwise symmetric by construction, like ``cross_susceptibility_matrix``.
-    """
+def _correction_vectors(
+    system: QubitSystem, ground: GroundState, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(Q B, X)`` with ``(H - E_0) X = Q B`` solved column by column on the
+    complement of the ground state, ``Q = 1 - |0><0|``; ``None`` if block CG
+    does not converge."""
     v0 = ground.vector
     apply_h = hamiltonian_operator(system)
 
@@ -208,8 +209,7 @@ def krylov_susceptibility(
     def apply_a(V: np.ndarray) -> np.ndarray:
         return project(apply_h(V) - ground.energy * V)
 
-    signs = sigma_z_table(system.n).T.copy()  # C order keeps the products' layout
-    B = project(signs * v0[:, None])
+    B = project(B)
     norms = np.linalg.norm(B, axis=0)
     active = norms > 0.0
     X = np.zeros_like(B)
@@ -221,5 +221,32 @@ def krylov_susceptibility(
         if solved is None:
             return None
         X[:, active] = solved * norms[active]
+    return B, X
+
+
+def krylov_susceptibility(
+    system: QubitSystem, ground: GroundState
+) -> np.ndarray | None:
+    """Full ``n x n`` susceptibility matrix by linear response around a
+    gated ground state, or ``None`` if block CG does not converge.
+
+    Bitwise symmetric by construction, like ``cross_susceptibility_matrix``.
+    """
+    signs = sigma_z_table(system.n).T.copy()  # C order keeps the products' layout
+    solved = _correction_vectors(system, ground, signs * ground.vector[:, None])
+    if solved is None:
+        return None
+    B, X = solved
     half = B.T @ X
     return half + half.T
+
+
+def krylov_path_response(
+    system: QubitSystem, ground: GroundState, v_ground: np.ndarray
+) -> np.ndarray | None:
+    """``d<sz_i>/dlambda = -2 <0|sz_i|x>`` for every qubit, with ``(H - E_0) x
+    = Q V|0>`` and ``v_ground = V|0>``; ``None`` if CG does not converge."""
+    solved = _correction_vectors(system, ground, v_ground[:, None])
+    if solved is None:
+        return None
+    return -2.0 * (sigma_z_table(system.n) * ground.vector) @ solved[1][:, 0]

@@ -118,14 +118,6 @@ class QubitSystem:
             max(np.abs(self.delta).max(), np.abs(self.h).max(), np.abs(self.J).max())
         )
 
-    def with_bias(self, j: int, value: float) -> "QubitSystem":
-        """Copy of the system with ``h[j]`` replaced by ``value``."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"qubit index {j} out of range for n={self.n}")
-        h = np.array(self.h)
-        h[j] = value
-        return QubitSystem(delta=self.delta, h=h, J=self.J)
-
 
 @dataclass(frozen=True, eq=False)
 class AffinePath:
@@ -154,11 +146,13 @@ class AffinePath:
         lam = float(lam)
         if not np.isfinite(lam):
             raise ValueError(f"path parameter must be finite, got {lam}")
-        return QubitSystem(
-            delta=self.base.delta + lam * self.direction.delta,
-            h=self.base.h + lam * self.direction.h,
-            J=self.base.J + lam * self.direction.J,
-        )
+        # An overflowing coefficient is rejected by QubitSystem, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return QubitSystem(
+                delta=self.base.delta + lam * self.direction.delta,
+                h=self.base.h + lam * self.direction.h,
+                J=self.base.J + lam * self.direction.J,
+            )
 
     def coefficients(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(delta, h, J)`` at every value of ``grid``, stacked along a

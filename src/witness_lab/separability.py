@@ -8,25 +8,14 @@ susceptibility witnesses are validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import QubitSystem, build_hamiltonian
-from .observables import _check_normalized, _qubit_count, sigma_z_expectation
+from .observables import _check_normalized, _qubit_count, sigma_z_profile
 from .witness import Bipartition, coupled_pairs
 
 SCHMIDT_TOL = 1e-7  # singular values below this count as zero
 EIGENSTATE_RESIDUAL_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtData:
-    """Descending singular values of a state across one cut."""
-
-    partition: Bipartition
-    coefficients: np.ndarray
-    rank: int
 
 
 def _pack_bits(n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -51,11 +40,9 @@ def resolve_schmidt_tolerance(tol: float) -> float:
     return tol
 
 
-def schmidt_coefficients(
-    state: np.ndarray, partition: Bipartition, tol: float = SCHMIDT_TOL
-) -> SchmidtData:
-    """Singular values of the state's amplitude matrix across the cut."""
-    tol = resolve_schmidt_tolerance(tol)
+def schmidt_coefficients(state: np.ndarray, partition: Bipartition) -> np.ndarray:
+    """Descending singular values of the state's amplitude matrix across the
+    cut, read-only."""
     state = _check_normalized(state)
     n = _qubit_count(state.size)
     if partition.n != n:
@@ -66,18 +53,16 @@ def schmidt_coefficients(
     matrix[rows, cols] = state
     coefficients = np.linalg.svd(matrix, compute_uv=False)
     coefficients.setflags(write=False)
-    return SchmidtData(
-        partition=partition,
-        coefficients=coefficients,
-        rank=int(np.sum(coefficients > tol)),
-    )
+    return coefficients
 
 
 def is_separable(
     state: np.ndarray, partition: Bipartition, tol: float = SCHMIDT_TOL
 ) -> bool:
-    """True when the state factorizes across the cut (Schmidt rank 1)."""
-    return schmidt_coefficients(state, partition, tol).rank == 1
+    """True when the state factorizes across the cut: exactly one Schmidt
+    coefficient exceeds ``tol``, which must lie in (0, 1)."""
+    tol = resolve_schmidt_tolerance(tol)
+    return np.count_nonzero(schmidt_coefficients(state, partition) > tol) == 1
 
 
 def is_fully_separable(state: np.ndarray, tol: float = SCHMIDT_TOL) -> bool:
@@ -125,11 +110,7 @@ def check_pinned_pairs(
         )
     if not is_fully_separable(state, schmidt_tol):
         raise ValueError("state is not fully separable")
-    violations = []
-    sz = [abs(sigma_z_expectation(state, i)) for i in range(n)]
-    coupled = coupled_pairs(system.J)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coupled[i, j] and max(sz[i], sz[j]) < 1.0 - tol:
-                violations.append((i, j))
-    return violations
+    sz = np.abs(sigma_z_profile(state))
+    unpinned = np.maximum.outer(sz, sz) < 1.0 - tol
+    i, j = np.nonzero(np.triu(coupled_pairs(system.J) & unpinned))
+    return list(zip(i.tolist(), j.tolist()))

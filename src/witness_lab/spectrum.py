@@ -61,8 +61,9 @@ def diagonalize(H: np.ndarray) -> Spectrum:
 
     Eigenvalues come out ascending; the global sign of each eigenvector is
     fixed by making its largest-magnitude component positive, so repeated
-    calls on identical input are bit-identical. A failed iteration inside
-    the solver surfaces as ``numpy.linalg.LinAlgError``.
+    calls on identical input are bit-identical. An eigenvalue beyond the
+    float range raises ``ValueError``; a failed iteration inside the solver
+    surfaces as ``numpy.linalg.LinAlgError``.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -77,6 +78,8 @@ def diagonalize(H: np.ndarray) -> Spectrum:
         raise ValueError("matrix is not symmetric within tolerance")
 
     energies, states = np.linalg.eigh(H)
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("eigenvalues overflow; the coefficients are too large")
 
     lead = np.argmax(np.abs(states), axis=0)
     flip = states[lead, np.arange(dim)] < 0.0
@@ -85,14 +88,6 @@ def diagonalize(H: np.ndarray) -> Spectrum:
     energies.setflags(write=False)
     states.setflags(write=False)
     return Spectrum(energies=energies, states=states)
-
-
-def default_degeneracy_tolerance(spec: Spectrum) -> float:
-    """Scale-free degeneracy threshold: 1e-9 of the spectral width (floored
-    at 1e-9 for narrow spectra)."""
-    return resolve_degeneracy_tolerance(
-        None, float(spec.energies[-1]) - float(spec.energies[0])
-    )
 
 
 def resolve_degeneracy_tolerance(deg_tol: float | None, width: float) -> float:

@@ -6,8 +6,9 @@ point. It works from the path's coefficient grid (``AffinePath.coefficients``)
 rather than one ``QubitSystem`` per point: Hamiltonians are built a chunk of
 grid points at a time, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, and each
 is diagonalized on its own through ``diagonalize`` and gated through
-``ground_state``. Degenerate points are flagged rather than failing the
-sweep. On top of a sweep result:
+``ground_state``. A point records energies, gap and ``<sz_i>`` only: no
+witness report and no system per point. Degenerate points are flagged
+rather than failing the sweep. On top of a sweep result:
 
 * ``detect_anticrossings`` reports interior local minima of the gap, refined
   by a three-point parabolic fit, and
@@ -32,7 +33,7 @@ from .spectrum import (
     ground_state,
     require_positive_finite,
 )
-from .witness import WitnessReport, coupled_pairs, witness_report
+from .witness import coupled_pairs
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
 SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at n >= 8
@@ -41,13 +42,11 @@ SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
     """Sweep specification: path, strictly ascending grid of at least three
-    parameter values, number of energies to record, and whether to attach a
-    witness report to each point."""
+    parameter values, and number of energies to record."""
 
     path: AffinePath
     grid: np.ndarray
     track_levels: int = 2
-    compute_witnesses: bool = False
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -72,7 +71,6 @@ class SweepPoint:
     gap: float
     sz: np.ndarray
     degenerate: bool
-    witnesses: WitnessReport | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +98,7 @@ class SweepResult:
         return np.array([p.degenerate for p in self.points])
 
 
-def run_sweep(
-    config: SweepConfig,
-    deg_tol: float | None = None,
-    fd_step: float | None = None,
-) -> SweepResult:
+def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     """Evaluate the sweep over its grid, in grid order.
 
     The path's coefficients and Hamiltonians are built for a chunk of grid
@@ -112,9 +106,7 @@ def run_sweep(
     ``QubitSystem`` is made per point. Each point is then diagonalized on
     its own, so its record is bitwise what a per-point
     ``diagonalize(build_hamiltonian(path.at(lam)))`` gives. A degenerate
-    point gets ``degenerate=True`` and NaN ``sz``. With
-    ``compute_witnesses`` each nondegenerate point also gets a
-    ``witness_report`` of ``path.at(lam)``.
+    point gets ``degenerate=True`` and NaN ``sz``.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
@@ -130,11 +122,6 @@ def run_sweep(
             except DegenerateGroundError:
                 sz = np.full(path.n, np.nan)
                 degenerate = True
-            witnesses = None
-            if config.compute_witnesses and not degenerate:
-                witnesses = witness_report(
-                    spec, path.at(lam), deg_tol, path=path, lambda0=lam, fd_step=fd_step
-                )
             points.append(
                 SweepPoint(
                     lam=float(lam),
@@ -142,7 +129,6 @@ def run_sweep(
                     gap=float(spec.energies[1] - spec.energies[0]),
                     sz=sz,
                     degenerate=degenerate,
-                    witnesses=witnesses,
                 )
             )
     return SweepResult(config=config, points=points)
@@ -252,15 +238,13 @@ def certify_entanglement_on_path(
         return CertificationReport(
             certified_pairs=[], path_nondegenerate=False, oracle_confirmation=None
         )
-    sz = result.sz_trajectories
-    variations = np.abs(np.diff(sz, axis=0)).sum(axis=0)
-    n = result.config.path.n
-    coupled = _coupled_everywhere(result)
-    certified = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coupled[i, j] and variations[i] > var_tol and variations[j] > var_tol:
-                certified.append((i, j, float(variations[i]), float(variations[j])))
+    variations = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=0)
+    moving = variations > var_tol
+    # argwhere lists pairs i < j in lexicographic order
+    pairs = np.argwhere(np.triu(_coupled_everywhere(result) & np.outer(moving, moving)))
+    certified = [
+        (i, j, float(variations[i]), float(variations[j])) for i, j in pairs.tolist()
+    ]
     confirmation = None
     if certified:
         confirmation = _find_nonseparable_point(result, deg_tol, schmidt_tol)

@@ -8,8 +8,9 @@ vanishes whenever the (nondegenerate, real) ground state factorizes across
 the cut, so a nonzero value certifies entanglement between A and B. The
 normalized per-cut witness ``|w~| / (N_AB + |w~|)`` and the geometric-mean
 global witness over all cuts are both bounded in [0, 1). A path-based
-witness ``sum_{i<j} |J_ij * chi_i * chi_j|`` with chi taken along a sweep
-direction certifies entanglement without resolving individual cuts.
+witness ``sum_{i<j} |J_ij * chi_i * chi_j|``, with ``chi_i = d<sz_i>/dlambda``
+the exact path response along a direction (``observables.path_response``),
+certifies entanglement without resolving individual cuts.
 
 Every cut is evaluated at once from the cached ``crossing_table`` (which
 pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import MAX_QUBITS, AffinePath, QubitSystem
-from .observables import cross_susceptibility_matrix, ground_sz_on_path, resolve_fd_step
+from .observables import cross_susceptibility_matrix, path_response
 from .spectrum import DegenerateGroundError, GroundState, Spectrum, ground_state
 
 COUPLING_RTOL = 1e-12  # |J_ij| above 1e-12 * max(1, max|J|) counts as a coupling
@@ -222,26 +223,22 @@ def _report(
 
 
 def witness_lambda(
-    path: AffinePath,
-    lambda0: float = 0.0,
-    step: float | None = None,
-    deg_tol: float | None = None,
+    path: AffinePath, lambda0: float = 0.0, deg_tol: float | None = None
 ) -> float:
     """Path witness: sum of ``|J_ij * chi_i * chi_j|`` over unordered pairs.
 
-    The susceptibilities are derivatives of every ``<sz_i>`` along the path,
-    taken at ``lambda0`` with one shared central-difference stencil. Strictly
-    positive values certify entanglement of the ground state at ``lambda0``.
+    ``chi_i = d<sz_i>/dlambda`` at ``lambda0``, exact from first-order
+    perturbation theory (``path_response``). Strictly positive values
+    certify entanglement of the ground state at ``lambda0``. Raises
+    ``ValueError`` when the sum does not fit in a float.
     """
     system = path.at(lambda0)
-    step = resolve_fd_step(step, system)
-    plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
-    minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
-    chi = (plus - minus) / (2.0 * step)
-    total = 0.0
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            total += abs(system.J[i, j] * chi[i] * chi[j])
+    chi = path_response(system, path.direction, deg_tol)
+    i, j = np.triu_indices(system.n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: rejected below
+        total = float(np.abs(system.J[i, j] * chi[i] * chi[j]).sum())
+    if not math.isfinite(total):
+        raise ValueError("w_lambda overflows; the direction's coefficients are too large")
     return total
 
 
@@ -251,13 +248,12 @@ def witness_report(
     deg_tol: float | None = None,
     path: AffinePath | None = None,
     lambda0: float = 0.0,
-    fd_step: float | None = None,
 ) -> WitnessReport:
     """Assemble all per-cut witnesses and the global witness from a dense
     spectrum.
 
     When a ``path`` is supplied, ``w_lambda`` is evaluated at ``lambda0``;
-    a degenerate difference stencil leaves it ``None`` instead of failing
+    a degenerate ground level there leaves it ``None`` instead of failing
     the whole report.
     """
     ground = ground_state(spec, deg_tol)
@@ -265,7 +261,7 @@ def witness_report(
     w_lambda = None
     if path is not None:
         try:
-            w_lambda = witness_lambda(path, lambda0, fd_step, deg_tol)
+            w_lambda = witness_lambda(path, lambda0, deg_tol)
         except DegenerateGroundError:
             w_lambda = None
     return _report(ground, chi, system, w_lambda)

@@ -3,21 +3,23 @@
 The Kronecker oracles are built from raw numpy primitives (explicit
 Kronecker products, direct eigh calls) so that they stay independent of the
 library code they check. The finite-difference oracles take another route
-to the same susceptibilities: central differences of the dense ground
-state's ``<sz_i>`` under a displaced coefficient, instead of a sum over
-excited states or a linear-response solve.
+to the same susceptibilities: central differences of the ground state's
+``<sz_i>`` under a displaced coefficient, instead of a sum over excited
+states or a linear-response solve. Their step rule lives here with them.
 """
 
 import numpy as np
 
 from witness_lab import (
+    QubitSystem,
     build_hamiltonian,
     coupled_pairs,
     diagonalize,
     ground_state,
     sigma_z_expectation,
 )
-from witness_lab.observables import ground_sz_on_path, resolve_fd_step
+from witness_lab.observables import ground_sz_on_path
+from witness_lab.spectrum import require_positive_finite
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -82,6 +84,23 @@ def random_couplings(rng, n, zero_pairs=()):
     return J
 
 
+def default_fd_step(system):
+    """Central-difference step: 1e-4 of the dominant coefficient scale.
+
+    Balances truncation against round-off cancellation for double-precision
+    expectation values.
+    """
+    return 1e-4 * max(1.0, system.coefficient_scale)
+
+
+def resolve_fd_step(step, system):
+    """``default_fd_step(system)`` for ``None``; an explicit step must be
+    positive and finite."""
+    if step is None:
+        return default_fd_step(system)
+    return require_positive_finite("fd_step", step)
+
+
 def _ground_sz(system, i, deg_tol):
     spec = diagonalize(build_hamiltonian(system))
     gs = ground_state(spec, deg_tol)
@@ -98,8 +117,23 @@ def susceptibility_fd(system, i, j, step=None, deg_tol=None):
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"qubit indices ({i}, {j}) out of range for n={n}")
     step = resolve_fd_step(step, system)
-    plus = _ground_sz(system.with_bias(j, system.h[j] + step), i, deg_tol)
-    minus = _ground_sz(system.with_bias(j, system.h[j] - step), i, deg_tol)
+
+    def displaced(shift):
+        h = np.array(system.h)
+        h[j] += shift
+        return QubitSystem(delta=system.delta, h=h, J=system.J)
+
+    plus = _ground_sz(displaced(step), i, deg_tol)
+    minus = _ground_sz(displaced(-step), i, deg_tol)
+    return (plus - minus) / (2.0 * step)
+
+
+def lambda_susceptibilities(path, lambda0=0.0, step=None, deg_tol=None):
+    """Derivatives of every ``<sz_i>`` along the path, by one central
+    difference of the ground-state profile."""
+    step = resolve_fd_step(step, path.at(lambda0))
+    plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
+    minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
     return (plus - minus) / (2.0 * step)
 
 
@@ -107,10 +141,7 @@ def lambda_susceptibility(path, i, lambda0=0.0, step=None, deg_tol=None):
     """Derivative of ``<sz_i>`` along the path, by central difference."""
     if not 0 <= i < path.n:
         raise ValueError(f"qubit index {i} out of range for n={path.n}")
-    step = resolve_fd_step(step, path.at(lambda0))
-    plus = ground_sz_on_path(path, lambda0 + step, deg_tol)
-    minus = ground_sz_on_path(path, lambda0 - step, deg_tol)
-    return float((plus[i] - minus[i]) / (2.0 * step))
+    return float(lambda_susceptibilities(path, lambda0, step, deg_tol)[i])
 
 
 def per_cut_w_tilde(system, chi, cut):

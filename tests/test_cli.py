@@ -106,6 +106,15 @@ class TestConfigValidation:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert err == "config error: config nests too deeply to parse\n"
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--config", "/nonexistent.json")
         assert code == 2
@@ -310,6 +319,16 @@ class TestWitnessCommand:
         assert float(lambda_row[0].split(",")[3]) > 0.1
         assert lines[-1].startswith("global,")
 
+    @pytest.mark.parametrize("bias", [1e200, 1e308])
+    def test_overflowing_lambda_row_exits_2(self, tmp_path, capsys, bias):
+        direction = {"delta": [0.0, 0.0], "h": [bias, bias], "couplings": []}
+        doc = {**FM_PAIR, "witness": {"lambda_direction": direction}}
+        code, out, err = run_cli(capsys, "witness", "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert err.startswith("config error: ") and "overflows" in err
+        assert "Warning" not in err
+        assert out == ""
+
     def test_degenerate_ground_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CLASSICAL_DEGENERATE)
         code, out, err = run_cli(capsys, "witness", "--config", cfg)
@@ -344,6 +363,14 @@ class TestSweepCommand:
         flags = {float(r[0]): r[-1] for r in rows}
         assert flags[0.0] == "true"
         assert flags[1.0] == "false"
+
+    def test_degenerate_row_prints_empty_sz_fields(self, tmp_path, capsys):
+        doc = {**CLASSICAL_DEGENERATE, "sweep": {**CLASSICAL_DEGENERATE["sweep"],
+                                                 "grid": {"values": [-1.0, 0.0, 1.0]}}}
+        code, out, _ = run_cli(capsys, "sweep", "--config", write_config(tmp_path, doc))
+        assert code == 0
+        assert out.splitlines()[2] == "0.0,-1.0,-1.0,0.0,,,true"
+        assert "nan" not in out
 
     def test_constant_path_identical_rows(self, tmp_path, capsys):
         doc = {
@@ -532,6 +559,16 @@ class TestOverflowingSpectrum:
         code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
         assert code == 2
         assert err == "config error: matrix must contain only finite values\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+    def test_overflowing_eigenvalues_exit_2(self, tmp_path, capsys, command):
+        # Finite entries, but the levels are about +-1.9e308.
+        doc = {**CONSTANT_PATH, "system": {"n": 2, "delta": [-1.7e308, 0.0],
+                                          "h": [-1.7e308, 0.0], "couplings": []}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert err == "config error: eigenvalues overflow; the coefficients are too large\n"
         assert out == ""
 
     def test_plain_spectrum_still_prints_the_levels(self, tmp_path, capsys):

@@ -1,0 +1,136 @@
+"""Whole config documents, valid and not, through ``cli.main``.
+
+Every document gets one of the documented exit codes, 0 to 3, and no
+traceback: an uncaught exception (including a numpy ``RuntimeWarning``, which
+the test configuration turns into an error) fails the example. Documents
+stay small, at most 4 qubits and 5 grid points, so no example allocates more
+than a few MB. Generation is derandomized, so every run checks the same
+examples.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from witness_lab.cli import main
+
+FUZZ = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+
+# Moderate coefficients; hypothesis often draws exact zeros, which give
+# degenerate levels.
+sane = st.floats(-2.0, 2.0)
+wild = st.one_of(
+    st.sampled_from([-0.0, 1e-300, 1e150, -1e200, 1e308, -1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 5),
+)
+
+# Any JSON value, with bounded integers and short containers: it may stand
+# in for any part of a document.
+junk = st.recursive(
+    st.none() | st.booleans() | wild | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def system_blocks(draw, n, with_n):
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    chosen = []
+    if pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=4))
+    block = {
+        "delta": draw(st.lists(sane, min_size=n, max_size=n)),
+        "h": draw(st.lists(sane, min_size=n, max_size=n)),
+        "couplings": [pair + [draw(sane)] for pair in chosen],
+    }
+    if with_n:
+        block["n"] = n
+    return block
+
+
+@st.composite
+def valid_documents(draw):
+    n = draw(st.integers(1, 4))
+    doc = {"system": draw(system_blocks(n, with_n=True))}
+    if draw(st.sampled_from([True, True, True, False])):
+        values = sorted(draw(st.lists(sane, min_size=3, max_size=5)))
+        grid = draw(
+            st.just({"values": values})
+            | st.just({"start": values[0], "stop": values[-1], "num": len(values)})
+        )
+        doc["sweep"] = {
+            "direction": draw(system_blocks(n, with_n=False)),
+            "grid": grid,
+            "track_levels": draw(st.integers(2, 1 << n)),
+        }
+    if draw(st.booleans()):
+        doc["witness"] = {
+            "lambda_direction": draw(system_blocks(n, with_n=False)),
+            "lambda0": draw(sane),
+        }
+    if draw(st.booleans()):
+        keys = st.sampled_from(["deg_tol", "var_tol", "fd_step", "schmidt_tol"])
+        doc["tolerances"] = draw(st.dictionaries(keys, st.floats(1e-12, 0.5), max_size=4))
+    return doc
+
+
+def _slots(node):
+    """Every (container, key) pair in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    slots = []
+    for key, value in items:
+        slots.append((node, key))
+        if isinstance(value, (dict, list)):
+            slots.extend(_slots(value))
+    return slots
+
+
+@st.composite
+def documents(draw):
+    """A valid document with up to three of its values replaced by wild
+    numbers or arbitrary JSON, or a key added or removed."""
+    doc = draw(valid_documents())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        slots = _slots(doc)
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "delete":
+            del container[key]
+        elif action == "add" and isinstance(container, dict):
+            container[draw(st.text(max_size=6))] = draw(junk)
+        else:
+            container[key] = draw(wild | junk)
+        if not doc:
+            break
+    return doc if draw(st.sampled_from([True] * 19 + [False])) else draw(junk)
+
+
+@FUZZ
+@given(
+    doc=documents(),
+    command=st.sampled_from(["spectrum", "witness", "sweep", "certify"]),
+    levels=st.none() | st.none() | st.integers(-1, 17),
+)
+def test_every_document_gets_a_documented_exit_code(doc, command, levels):
+    argv = [command]
+    if levels is not None:
+        argv += ["--levels", str(levels)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", path])
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

@@ -13,6 +13,7 @@ import pytest
 from conftest import random_couplings
 
 import witness_lab.krylov as krylov
+import witness_lab.observables as observables
 from witness_lab import (
     AffinePath,
     DegenerateGroundError,
@@ -30,7 +31,7 @@ from witness_lab import (
 )
 from witness_lab.cli import main
 from witness_lab.model import hamiltonian_diagonal
-from witness_lab.observables import solve_ground_state
+from witness_lab.observables import path_response, solve_ground_state
 
 
 def random_all_to_all(n, seed):
@@ -211,8 +212,47 @@ def test_path_profile_and_lambda_witness_agree_with_dense(monkeypatch):
     fast = witness_lambda(path, 0.1)
     monkeypatch.setattr(krylov, "LANCZOS_MAX_ITER", 2)
     dense = witness_lambda(path, 0.1)
-    # The difference stencil divides <sz> errors by 2e-4.
-    assert abs(fast - dense) <= 1e-8 * max(1.0, abs(dense))
+    assert abs(fast - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_path_response_agrees_with_dense(monkeypatch, n):
+    rng = np.random.default_rng(60 + n)
+    system = random_all_to_all(n, 60 + n)
+    direction = QubitSystem(
+        delta=rng.uniform(-1, 1, n), h=rng.uniform(-1, 1, n), J=random_couplings(rng, n)
+    )
+    solved = []
+
+    def recording(*args):
+        result = krylov.krylov_path_response(*args)
+        solved.append(result is not None)
+        return result
+
+    monkeypatch.setattr(observables, "krylov_path_response", recording)
+    fast = path_response(system, direction)
+    assert solved == [True]
+    monkeypatch.setattr(krylov, "LANCZOS_MAX_ITER", 2)
+    dense = path_response(system, direction)
+    assert solved == [True]  # the dense route ran: Lanczos gave up first
+    assert np.max(np.abs(fast - dense)) <= 1e-10 * np.abs(dense).max()
+
+
+def test_overflowing_path_response_exits_2_without_warnings(tmp_path, capsys):
+    system = random_all_to_all(10, 9)
+    for bias in (1e200, 1e308):
+        doc = system_document(system)
+        doc["witness"] = {
+            "lambda_direction": {"delta": [0.0] * 10, "h": [bias] * 10, "couplings": []}
+        }
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["witness", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error: ") and "overflows" in err
+        assert "Warning" not in err
+        assert out == ""
 
 
 def test_oversized_coefficients_take_the_dense_route(tmp_path):

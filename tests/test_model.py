@@ -7,9 +7,8 @@ from witness_lab import (
     QubitSystem,
     build_hamiltonian,
     build_hamiltonians,
-    sigma_z_diagonal,
 )
-from witness_lab.model import sigma_z_table
+from witness_lab.model import sigma_z_diagonal, sigma_z_table
 
 
 def fm_pair():
@@ -187,11 +186,6 @@ class TestQubitSystemInvariants:
         with pytest.raises(ValueError):
             system.J[0, 1] = 5.0
 
-    def test_with_bias(self):
-        system = fm_pair()
-        shifted = system.with_bias(1, 0.25)
-        assert shifted.h[1] == 0.25 and shifted.h[0] == 0.0
-        assert system.h[1] == 0.0  # original untouched
 
 
 class TestAffinePath:

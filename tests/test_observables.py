@@ -3,8 +3,11 @@ import pytest
 from conftest import (
     brute_chi_sos,
     brute_ground,
+    default_fd_step,
+    lambda_susceptibilities,
     lambda_susceptibility,
     random_couplings,
+    resolve_fd_step,
     susceptibility_fd,
 )
 
@@ -14,12 +17,11 @@ from witness_lab import (
     QubitSystem,
     build_hamiltonian,
     cross_susceptibility_matrix,
-    default_fd_step,
     diagonalize,
     sigma_z_expectation,
     sigma_z_profile,
 )
-from witness_lab.observables import resolve_fd_step
+from witness_lab.observables import path_response
 
 
 def spectrum_of(system):
@@ -229,3 +231,85 @@ class TestLambdaSusceptibility:
         )
         with pytest.raises(ValueError):
             lambda_susceptibility(path, 1)
+
+
+def moving_path(rng, n, moving):
+    """Random path at a base with every qubit tunneling, whose direction is
+    nonzero only in the coefficient named by ``moving``."""
+    J = random_couplings(rng, n)
+    direction = QubitSystem(
+        delta=rng.uniform(-1, 1, n) * (moving == "delta"),
+        h=rng.uniform(-1, 1, n) * (moving == "h"),
+        J=random_couplings(rng, n) * (moving == "J"),
+    )
+    base = QubitSystem(delta=rng.uniform(0.3, 1, n), h=rng.uniform(-1, 1, n), J=J)
+    return AffinePath(base=base, direction=direction)
+
+
+class TestPathResponse:
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("moving", ["delta", "h", "J"])
+    def test_matches_finite_difference_oracle(self, n, moving):
+        rng = np.random.default_rng(500 + 10 * n + len(moving))
+        lambda0 = 0.3
+        for _ in range(50):
+            path = moving_path(rng, n, moving)
+            system = path.at(lambda0)
+            gap = np.diff(spectrum_of(system).energies[:2])[0]
+            # the stencil's truncation error grows as (step / gap)^2
+            if gap >= 0.1 * max(1.0, system.coefficient_scale):
+                break
+        else:
+            pytest.fail("no gapped instance found")
+        exact = path_response(system, path.direction)
+        # A quarter of the default step: the stencil's error falls as step^2,
+        # 16-fold here, which is what shows the exact route to be exact.
+        fd = lambda_susceptibilities(path, lambda0, default_fd_step(system) / 4)
+        assert np.any(exact != 0.0)
+        assert np.max(np.abs(exact - fd)) <= 2e-6 * max(1.0, np.abs(exact).max())
+
+    def test_uniform_bias_direction_is_chi_times_h(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            system = random_system(rng, n)
+            direction = QubitSystem(
+                delta=np.zeros(n), h=np.full(n, 0.7), J=np.zeros((n, n))
+            )
+            chi = cross_susceptibility_matrix(spectrum_of(system))
+            response = path_response(system, direction)
+            assert np.max(np.abs(response - chi @ direction.h)) <= 1e-12 * max(
+                1.0, np.abs(response).max()
+            )
+
+    def test_single_qubit_analytic(self):
+        direction = QubitSystem(delta=[0.0], h=[1.0], J=np.zeros((1, 1)))
+        assert abs(path_response(single_qubit(), direction)[0] - 2.0) <= 1e-12
+
+    def test_zero_direction_gives_exact_zero(self):
+        system = QubitSystem.from_couplings([1.0, 0.8], [0.3, 0.1], [(0, 1, 0.4)])
+        zero = QubitSystem(delta=[0.0, 0.0], h=[0.0, 0.0], J=np.zeros((2, 2)))
+        assert np.array_equal(np.abs(path_response(system, zero)), [0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e150])
+    def test_linear_in_the_direction(self, scale):
+        rng = np.random.default_rng(32)
+        path = moving_path(rng, 4, "delta")
+        d = path.direction
+        scaled = QubitSystem(delta=scale * d.delta, h=scale * d.h, J=scale * d.J)
+        unit = path_response(path.base, d)
+        assert np.max(np.abs(path_response(path.base, scaled) - scale * unit)) <= (
+            1e-12 * scale * np.abs(unit).max()
+        )
+
+    def test_overflowing_response_raises(self):
+        # The fm pair's response to h is about 200 * h per qubit.
+        system = QubitSystem.from_couplings([0.2, 0.2], [0.0, 0.0], [(0, 1, -1.0)])
+        direction = QubitSystem(delta=[0.0, 0.0], h=[1e308, 1e308], J=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="path response overflows"):
+            path_response(system, direction)
+
+    def test_degenerate_ground_raises(self):
+        system = QubitSystem(delta=[1.0, 0.0], h=[0.0, 0.0], J=np.zeros((2, 2)))
+        direction = QubitSystem(delta=[0.0, 0.0], h=[1.0, 0.0], J=np.zeros((2, 2)))
+        with pytest.raises(DegenerateGroundError):
+            path_response(system, direction)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from witness_lab import (
+    SCHMIDT_TOL,
     Bipartition,
     QubitSystem,
     build_hamiltonian,
@@ -10,15 +11,19 @@ from witness_lab import (
     ground_state,
     is_fully_separable,
     is_separable,
-    schmidt_coefficients,
     sigma_z_expectation,
 )
+from witness_lab.separability import schmidt_coefficients
 
 
 def basis_state(n, index):
     vec = np.zeros(1 << n)
     vec[index] = 1.0
     return vec
+
+
+def schmidt_rank(coefficients):
+    return int(np.count_nonzero(coefficients > SCHMIDT_TOL))
 
 
 def bell_state():
@@ -41,19 +46,20 @@ def w_state():
 
 class TestSchmidtCoefficients:
     def test_product_basis_state(self):
-        data = schmidt_coefficients(basis_state(2, 0), Bipartition(1, 2))
-        assert np.array_equal(data.coefficients, [1.0, 0.0])
-        assert data.rank == 1
+        coefficients = schmidt_coefficients(basis_state(2, 0), Bipartition(1, 2))
+        assert np.array_equal(coefficients, [1.0, 0.0])
+        assert schmidt_rank(coefficients) == 1
+        assert not coefficients.flags.writeable
 
     def test_bell_state(self):
-        data = schmidt_coefficients(bell_state(), Bipartition(1, 2))
-        assert np.allclose(data.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-        assert data.rank == 2
+        coefficients = schmidt_coefficients(bell_state(), Bipartition(1, 2))
+        assert np.allclose(coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        assert schmidt_rank(coefficients) == 2
 
     def test_ghz_across_one_vs_two(self):
-        data = schmidt_coefficients(ghz_state(), Bipartition(1, 3))
-        assert np.allclose(data.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-        assert data.rank == 2
+        coefficients = schmidt_coefficients(ghz_state(), Bipartition(1, 3))
+        assert np.allclose(coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        assert schmidt_rank(coefficients) == 2
 
     def test_descending_and_normalized(self):
         rng = np.random.default_rng(1)
@@ -62,13 +68,13 @@ class TestSchmidtCoefficients:
             vec = rng.normal(size=1 << n)
             vec /= np.linalg.norm(vec)
             mask = (int(rng.integers(0, (1 << (n - 1)) - 1)) << 1) | 1
-            data = schmidt_coefficients(vec, Bipartition(mask, n))
-            assert np.all(np.diff(data.coefficients) <= 0.0)
-            assert np.all(data.coefficients >= 0.0)
-            assert abs(np.sum(data.coefficients**2) - 1.0) <= 1e-9
-            assert 1 <= data.rank <= min(
-                1 << len(data.partition.members),
-                1 << len(data.partition.complement_members),
+            cut = Bipartition(mask, n)
+            coefficients = schmidt_coefficients(vec, cut)
+            assert np.all(np.diff(coefficients) <= 0.0)
+            assert np.all(coefficients >= 0.0)
+            assert abs(np.sum(coefficients**2) - 1.0) <= 1e-9
+            assert 1 <= schmidt_rank(coefficients) <= min(
+                1 << len(cut.members), 1 << len(cut.complement_members)
             )
 
     def test_complement_has_same_coefficients(self):
@@ -76,8 +82,8 @@ class TestSchmidtCoefficients:
         vec = rng.normal(size=16)
         vec /= np.linalg.norm(vec)
         cut = Bipartition(0b0101, 4)
-        a = schmidt_coefficients(vec, cut).coefficients
-        b = schmidt_coefficients(vec, cut.complement()).coefficients
+        a = schmidt_coefficients(vec, cut)
+        b = schmidt_coefficients(vec, cut.complement())
         k = min(len(a), len(b))
         assert np.allclose(a[:k], b[:k], atol=1e-12)
         assert np.allclose(a[k:], 0.0, atol=1e-12)

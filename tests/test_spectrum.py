@@ -6,10 +6,10 @@ from witness_lab import (
     DegenerateGroundError,
     QubitSystem,
     build_hamiltonian,
-    default_degeneracy_tolerance,
     diagonalize,
     ground_state,
 )
+from witness_lab.spectrum import resolve_degeneracy_tolerance
 
 
 def random_symmetric(rng, dim):
@@ -104,7 +104,7 @@ class TestGroundState:
     def test_degeneracy_tolerance_is_scale_free(self):
         spec = diagonalize(np.diag([0.0, 3e-9, 10.0]))
         # width 10 -> tolerance 1e-8 swallows the 3e-9 gap
-        assert default_degeneracy_tolerance(spec) == 1e-8
+        assert resolve_degeneracy_tolerance(None, 10.0) == 1e-8
         with pytest.raises(DegenerateGroundError):
             ground_state(spec)
         # an explicit tighter tolerance accepts it

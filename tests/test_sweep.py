@@ -16,7 +16,6 @@ from witness_lab import (
     is_fully_separable,
     run_sweep,
     sigma_z_profile,
-    witness_report,
 )
 
 
@@ -63,9 +62,9 @@ def chunk_points(n):
     return max(1, sweep_module.SWEEP_CHUNK_BYTES // (8 * 4**n))
 
 
-def per_point_sweep(config, deg_tol=None, fd_step=None):
+def per_point_sweep(config, deg_tol=None):
     """Reference sweep with one ``QubitSystem`` and one ``build_hamiltonian``
-    per grid point, as ``(lam, energies, gap, sz, degenerate, witnesses)``."""
+    per grid point, as ``(lam, energies, gap, sz, degenerate)``."""
     records = []
     for lam in config.grid:
         system = config.path.at(lam)
@@ -76,37 +75,22 @@ def per_point_sweep(config, deg_tol=None, fd_step=None):
         except DegenerateGroundError:
             sz = np.full(system.n, np.nan)
             degenerate = True
-        witnesses = None
-        if config.compute_witnesses and not degenerate:
-            witnesses = witness_report(
-                spec, system, deg_tol, path=config.path, lambda0=lam, fd_step=fd_step
-            )
         energies = np.array(spec.energies[: config.track_levels])
         gap = float(spec.energies[1] - spec.energies[0])
-        records.append((float(lam), energies, gap, sz, degenerate, witnesses))
+        records.append((float(lam), energies, gap, sz, degenerate))
     return records
-
-
-def report_key(report):
-    if report is None:
-        return None
-    cuts = [(c.partition.mask, c.n_ab, c.w_tilde, c.w_ab) for c in report.cuts]
-    return cuts, report.w_lambda, report.w_global
 
 
 def assert_bitwise_equal_to_reference(config, **kwargs):
     result = run_sweep(config, **kwargs)
     reference = per_point_sweep(config, **kwargs)
     assert len(result.points) == len(reference) == config.grid.size
-    for point, (lam, energies, gap, sz, degenerate, witnesses) in zip(
-        result.points, reference
-    ):
+    for point, (lam, energies, gap, sz, degenerate) in zip(result.points, reference):
         assert point.lam == lam
         assert point.energies.tobytes() == energies.tobytes()
         assert np.float64(point.gap).tobytes() == np.float64(gap).tobytes()
         assert point.sz.tobytes() == sz.tobytes()  # NaN payloads included
         assert point.degenerate == degenerate
-        assert report_key(point.witnesses) == report_key(witnesses)
     return result
 
 
@@ -176,20 +160,6 @@ class TestRunSweep:
             assert point.energies.shape == (4,)
             assert np.all(np.diff(point.energies) >= 0.0)
 
-    def test_witness_reports_attached_on_request(self):
-        config = SweepConfig(
-            path=fm_pair_path(), grid=[-0.5, 0.0, 0.5], compute_witnesses=True
-        )
-        result = run_sweep(config)
-        for point in result.points:
-            assert point.witnesses is not None
-            assert len(point.witnesses.cuts) == 1
-            assert point.witnesses.w_lambda is not None
-        # at the anticrossing both the cut and path witnesses fire
-        center = result.points[1].witnesses
-        assert abs(center.cuts[0].w_tilde) > 0.1
-        assert center.w_lambda > 0.1
-
     def test_no_system_built_per_grid_point(self, monkeypatch):
         calls = []
         original = AffinePath.at
@@ -251,19 +221,6 @@ class TestChunkedSweepMatchesPerPoint:
             path=random_path(rng, n), grid=np.linspace(-1, 1, 7), track_levels=1 << n
         )
         assert_bitwise_equal_to_reference(config)
-
-    def test_witness_reports_match(self):
-        rng = np.random.default_rng(9)
-        config = SweepConfig(
-            path=random_path(rng, 3), grid=np.linspace(-1, 1, 5), compute_witnesses=True
-        )
-        assert_bitwise_equal_to_reference(config, fd_step=1e-3)
-        base = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)])
-        config = SweepConfig(
-            path=uniform_bias_path(base), grid=[-1.0, 0.0, 1.0], compute_witnesses=True
-        )
-        result = assert_bitwise_equal_to_reference(config)
-        assert result.points[1].degenerate and result.points[1].witnesses is None
 
     def test_nonfinite_interior_point_rejected(self):
         base = QubitSystem(delta=[0.5, 0.5], h=[1e308, 0.0], J=np.zeros((2, 2)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import brute_chi_sos, brute_ground, random_couplings
+from conftest import brute_chi_sos, brute_ground, lambda_susceptibilities, random_couplings
 
 from witness_lab import (
     AffinePath,
@@ -10,7 +10,6 @@ from witness_lab import (
     build_hamiltonian,
     crossing_table,
     diagonalize,
-    enumerate_bipartitions,
     ground_response,
     ground_state,
     is_separable,
@@ -18,6 +17,7 @@ from witness_lab import (
     witness_lambda,
     witness_report,
 )
+from witness_lab.witness import enumerate_bipartitions
 
 
 def spectrum_of(system):
@@ -242,9 +242,48 @@ class TestWitnessLambda:
         value = witness_lambda(self.uniform_bias_path(fm_pair()), 0.0)
         assert value > 0.1
 
+    def test_matches_finite_difference_oracle(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 7):
+            system = QubitSystem(
+                delta=rng.uniform(0.3, 1.0, n),
+                h=rng.uniform(-1, 1, n),
+                J=random_couplings(rng, n),
+            )
+            direction = QubitSystem(
+                delta=rng.uniform(-1, 1, n),
+                h=rng.uniform(-1, 1, n),
+                J=random_couplings(rng, n),
+            )
+            path = AffinePath(base=system, direction=direction)
+            chi = lambda_susceptibilities(path, -0.2)
+            moved = path.at(-0.2)
+            i, j = np.triu_indices(n, 1)
+            fd = float(np.abs(moved.J[i, j] * chi[i] * chi[j]).sum())
+            assert abs(witness_lambda(path, -0.2) - fd) <= 1e-5 * max(1.0, fd)
+
+    def test_scales_with_the_square_of_the_direction(self):
+        # a 1e150 bias direction: w_lambda is about 4e304
+        path = self.uniform_bias_path(fm_pair())
+        unit = witness_lambda(path, 0.0)
+        big = AffinePath(
+            base=path.base,
+            direction=QubitSystem(delta=[0.0, 0.0], h=[1e150, 1e150], J=np.zeros((2, 2))),
+        )
+        assert abs(witness_lambda(big, 0.0) - 1e300 * unit) <= 1e-12 * 1e300 * unit
+
+    @pytest.mark.parametrize("bias", [1e200, 1e308])
+    def test_overflow_raises_value_error(self, bias):
+        path = AffinePath(
+            base=fm_pair(),
+            direction=QubitSystem(delta=[0.0, 0.0], h=[bias, bias], J=np.zeros((2, 2))),
+        )
+        with pytest.raises(ValueError, match="overflows"):
+            witness_lambda(path, 0.0)
+
     def test_degenerate_stencil_raises(self):
-        # qubit 1 has delta = h = 0, so the spectrum stays doubly degenerate
-        # at every stencil point of a bias-on-qubit-0 path
+        # qubit 1 has delta = h = 0, so the spectrum is doubly degenerate at
+        # lambda0, where the path response is taken
         system = QubitSystem(delta=[1.0, 0.0], h=[0.0, 0.0], J=np.zeros((2, 2)))
         path = AffinePath(
             base=system,

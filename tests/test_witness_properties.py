@@ -19,11 +19,11 @@ from witness_lab import (
     count_crossing_couplings,
     cross_susceptibility_matrix,
     diagonalize,
-    enumerate_bipartitions,
     ground_state,
     is_separable,
     witness_report,
 )
+from witness_lab.witness import enumerate_bipartitions
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
