@@ -13,7 +13,6 @@ from .observables import (
     cross_susceptibility_matrix,
     ground_response,
     ground_sz_on_path,
-    sigma_z_expectation,
     sigma_z_profile,
 )
 from .separability import (
@@ -42,10 +41,10 @@ from .witness import (
     Bipartition,
     CutWitness,
     WitnessReport,
-    assemble_witness_report,
     count_crossing_couplings,
     coupled_pairs,
     crossing_table,
+    solve_witness_report,
     witness_ab,
     witness_lambda,
     witness_report,
@@ -66,7 +65,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "WitnessReport",
-    "assemble_witness_report",
     "build_hamiltonian",
     "build_hamiltonians",
     "certify_entanglement_on_path",
@@ -83,8 +81,8 @@ __all__ = [
     "is_fully_separable",
     "is_separable",
     "run_sweep",
-    "sigma_z_expectation",
     "sigma_z_profile",
+    "solve_witness_report",
     "witness_ab",
     "witness_lambda",
     "witness_report",

@@ -28,10 +28,12 @@ Couplings are upper-triangle ``[i, j, value]`` entries with ``i < j``;
 unknown keys anywhere are rejected. Tolerances are validated once, flags
 over config keys, before any command runs. The ``lambda`` row of ``witness``
 is the exact path response (``witness_lambda``), so ``fd_step`` is accepted
-and validated but has no effect. Floats are printed in their shortest
-round-trip form, rows end with LF, and identical configs produce
-byte-identical output; a degenerate sweep point leaves its ``sz_i`` fields
-empty, so no ``nan`` is printed.
+and validated but has no effect; ``solve_witness_report`` takes the row from
+the report's own ground-state solve when ``lambda0`` leaves the system
+unchanged, so such a ``witness`` op solves the ground state once. Floats are
+printed in their shortest round-trip form, rows end with LF, and identical
+configs produce byte-identical output; a degenerate sweep point leaves its
+``sz_i`` fields empty, so no ``nan`` is printed.
 
 Exit codes: 0 success (certify: entanglement certified), 1 clean negative
 finding (certify: nothing certified), 2 invalid input, 3 degenerate ground
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffinePath, QubitSystem, build_hamiltonian
-from .observables import ground_response
 from .separability import resolve_schmidt_tolerance
 from .spectrum import (
     DegenerateGroundError,
@@ -62,7 +63,7 @@ from .sweep import (
     detect_anticrossings,
     run_sweep,
 )
-from .witness import assemble_witness_report, witness_lambda
+from .witness import solve_witness_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -332,17 +333,16 @@ def _cmd_spectrum(
 def _cmd_witness(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
-    deg_tol = tol["deg_tol"]
-    ground, chi = ground_response(config.system, deg_tol)
-    report = assemble_witness_report(ground, chi, config.system)
+    report = solve_witness_report(
+        config.system, tol["deg_tol"], config.witness_path, config.witness_lambda0
+    )
     rows = ["mask_hex,n_ab,w_tilde,w_ab"]
     for cut in report.cuts:
         rows.append(
             f"0x{cut.partition.mask:x},{cut.n_ab},{_fmt(cut.w_tilde)},{_fmt(cut.w_ab)}"
         )
-    if config.witness_path is not None:
-        value = witness_lambda(config.witness_path, config.witness_lambda0, deg_tol)
-        rows.append(f"lambda,,,{_fmt(value)}")
+    if report.w_lambda is not None:
+        rows.append(f"lambda,,,{_fmt(report.w_lambda)}")
     rows.append(f"global,,,{_fmt(report.w_global)}")
     return EXIT_OK, rows, []
 

@@ -1,31 +1,35 @@
 """Ground-state spin expectations and their exact first-order responses.
 
 Two responses of ``<sz_i>`` come from first-order perturbation theory: the
-cross-susceptibility ``chi_ij = d<sz_i>/dh_j`` (``ground_response``) and the
-path response ``d<sz_i>/dlambda`` under ``H + lambda V``, with ``V`` the
-Hamiltonian of a path direction (``path_response``). ``_solve`` is the one
-place that picks the solver from the dimension:
+cross-susceptibility ``chi_ij = d<sz_i>/dh_j`` and the path response
+``d<sz_i>/dlambda`` under ``H + lambda V``, with ``V`` the Hamiltonian of a
+path direction. ``_solve`` is the one place that picks the solver from the
+dimension, and one call of it gives the gated ground state, ``chi`` and, for
+a direction, the path response, all from one ground-state solve:
 
-* below ``KRYLOV_MIN_DIM``, one dense eigendecomposition and the sums over
-  excited states, ``chi_ij = sum_{k>0} 2 <0|sz_i|k><k|sz_j|0> / (E_k - E_0)``
-  and ``d<sz_i>/dlambda = -2 sum_{k>0} <0|sz_i|k><k|V|0> / (E_k - E_0)``;
-* at and above it, the matrix-free linear-response solves in ``krylov``,
-  with the dense route as the fallback whenever a Krylov solve does not
-  converge.
+* below ``KRYLOV_MIN_DIM``, one dense eigendecomposition and one sum over
+  excited states feeding both responses (``spectrum_response``),
+  ``chi_ij = sum_{k>0} 2 <0|sz_i|k><k|sz_j|0> / (E_k - E_0)`` and
+  ``d<sz_i>/dlambda = -2 sum_{k>0} <0|sz_i|k><k|V|0> / (E_k - E_0)``;
+* at and above it, the matrix-free linear-response solves in ``krylov``
+  around one Lanczos ground state, with the dense route as the fallback
+  whenever a Krylov solve does not converge.
 
-Both pass the degeneracy gate of ``spectrum`` first instead of returning a
-divergent number. Central finite differences, an independent check of
-either route, live in the test suite.
+``ground_response``, ``path_response`` and ``solve_ground_state`` are thin
+wrappers that ask ``_solve`` for one part each; the ``witness`` command asks
+it for ``chi`` and the path response together. Every route passes the
+degeneracy gate of ``spectrum`` first instead of returning a divergent
+number. Central finite differences, an independent check of either route,
+live in the test suite.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from .krylov import (
     KRYLOV_MIN_DIM,
+    Operator,
     hamiltonian_operator,
     krylov_ground_state,
     krylov_path_response,
@@ -35,6 +39,8 @@ from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_table
 from .spectrum import GroundState, Spectrum, diagonalize, ground_state
 
 NORM_TOL = 1e-9
+
+Responses = tuple[GroundState, np.ndarray | None, np.ndarray | None]
 
 
 def _qubit_count(dim: int) -> int:
@@ -54,64 +60,111 @@ def _check_normalized(state: np.ndarray) -> np.ndarray:
     return state
 
 
-def sigma_z_expectation(state: np.ndarray, i: int) -> float:
-    """``<state|sz_i|state>`` for a normalized real state vector."""
-    state = _check_normalized(state)
-    n = _qubit_count(state.size)
-    if not 0 <= i < n:
-        raise ValueError(f"qubit index {i} out of range for n={n}")
-    return float(np.dot(sigma_z_table(n)[i] * state, state))
-
-
 def sigma_z_profile(state: np.ndarray) -> np.ndarray:
-    """``<sz_i>`` for every qubit; entry ``i`` is exactly
-    ``sigma_z_expectation(state, i)``."""
+    """``<state|sz_i|state>`` for every qubit ``i`` of a normalized real
+    state vector, one dot product with a row of ``sigma_z_table`` each."""
     state = _check_normalized(state)
     signs = sigma_z_table(_qubit_count(state.size))
     return np.array([float(np.dot(row * state, state)) for row in signs])
 
 
-def _sum_over_states(
-    spec: Spectrum, deg_tol: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gated ground vector ``v0``, the ``(n, dim - 1)`` matrix elements
-    ``<0|sz_i|k>`` over the excited states ``k`` and their gaps
-    ``E_k - E_0``: the terms of every sum over states."""
-    v0 = ground_state(spec, deg_tol).vector
-    gaps = spec.energies[1:] - spec.energies[0]
-    excited = spec.states[:, 1:]
+def _unit_direction(direction: QubitSystem) -> tuple[Operator, float]:
+    """``v -> V v`` for ``direction`` scaled to unit largest coefficient, and
+    that scale: ``H`` is linear in its coefficients, so ``V|0>`` is one
+    matvec, and no intermediate of the unit response overflows."""
+    d, scale = direction, direction.coefficient_scale or 1.0
+    unit = QubitSystem(delta=d.delta / scale, h=d.h / scale, J=d.J / scale)
+    return hamiltonian_operator(unit), scale
+
+
+def _scaled_response(unit: np.ndarray, scale: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        response = scale * unit
+    if not np.isfinite(response).all():
+        raise ValueError(
+            "the path response overflows; the direction's coefficients are too large"
+        )
+    return response
+
+
+def spectrum_response(
+    spec: Spectrum, deg_tol: float | None = None, direction: QubitSystem | None = None
+) -> Responses:
+    """Gated ground state, full ``n x n`` susceptibility matrix and, for a
+    ``direction``, the path response along it, from one dense spectrum.
+
+    The matrix elements ``<0|sz_i|k>`` over the excited states ``k`` and
+    their gaps ``E_k - E_0`` are computed once and feed both sums. ``chi`` is
+    bitwise symmetric by construction. Raises ``DegenerateGroundError``
+    through ``ground_state`` when the ground level is degenerate, and
+    ``ValueError`` when the path response does not fit in a float.
+    """
+    ground = ground_state(spec, deg_tol)
+    v0, excited = ground.vector, spec.states[:, 1:]
     signs = sigma_z_table(_qubit_count(spec.dim))
     overlaps = np.vstack([(row * v0) @ excited for row in signs])
-    return v0, overlaps, gaps
+    weighted = overlaps / (spec.energies[1:] - spec.energies[0])
+    half = weighted @ overlaps.T
+    chi = half + half.T
+    if direction is None:
+        return ground, chi, None
+    apply_v, scale = _unit_direction(direction)
+    unit = -2.0 * weighted @ (excited.T @ apply_v(v0))
+    return ground, chi, _scaled_response(unit, scale)
 
 
 def cross_susceptibility_matrix(
     spec: Spectrum, deg_tol: float | None = None
 ) -> np.ndarray:
     """Full ``n x n`` sum-over-states susceptibility matrix of the gated
-    ground state.
+    ground state (``spectrum_response`` without a direction)."""
+    return spectrum_response(spec, deg_tol)[1]
 
-    Bitwise symmetric by construction. Raises ``DegenerateGroundError``
-    through ``ground_state`` when the ground level is degenerate.
-    """
-    _, overlaps, gaps = _sum_over_states(spec, deg_tol)
-    half = (overlaps / gaps) @ overlaps.T
-    return half + half.T
+
+def _krylov_parts(
+    system: QubitSystem, ground: GroundState, chi: bool, direction: QubitSystem | None
+) -> tuple[np.ndarray | None, np.ndarray | None] | None:
+    """``chi`` (when asked for) and the path response along ``direction``
+    (when given) around a Lanczos ground state: two separate CG solves, so
+    ``chi`` is the same with or without a direction. ``None`` when either
+    does not converge."""
+    susceptibility = response = None
+    if chi:
+        susceptibility = krylov_susceptibility(system, ground)
+        if susceptibility is None:
+            return None
+    if direction is not None:
+        apply_v, scale = _unit_direction(direction)
+        unit = krylov_path_response(system, ground, apply_v(ground.vector))
+        if unit is None:
+            return None
+        response = _scaled_response(unit, scale)
+    return susceptibility, response
 
 
 def _solve(
-    system: QubitSystem, deg_tol: float | None, krylov_part: Callable, dense_part: Callable
-) -> tuple[GroundState, object]:
-    """The gated ground state and ``krylov_part(ground)`` from Lanczos at
-    dimension ``KRYLOV_MIN_DIM`` and above; ``dense_part(spectrum)`` of one
-    dense eigendecomposition below it or when a Krylov step returns ``None``."""
+    system: QubitSystem,
+    deg_tol: float | None,
+    chi: bool = True,
+    direction: QubitSystem | None = None,
+) -> Responses:
+    """Gated ground state, ``chi`` (when ``chi``) and the path response along
+    ``direction`` (when given), all from one ground-state solve.
+
+    Lanczos and CG at dimension ``KRYLOV_MIN_DIM`` and above; one dense
+    eigendecomposition below it, or when any Krylov step returns ``None``,
+    so every part of one result comes from the same route. The dense route
+    always returns ``chi``, which costs little next to its sum over states.
+    """
     if system.dim >= KRYLOV_MIN_DIM:
         ground = krylov_ground_state(system, deg_tol)
-        part = None if ground is None else krylov_part(ground)
-        if part is not None:
-            return ground, part
+        parts = None if ground is None else _krylov_parts(system, ground, chi, direction)
+        if parts is not None:
+            return ground, *parts
     spec = diagonalize(build_hamiltonian(system))
-    return ground_state(spec, deg_tol), dense_part(spec)
+    if not chi and direction is None:
+        return ground_state(spec, deg_tol), None, None
+    return spectrum_response(spec, deg_tol, direction)
 
 
 def solve_ground_state(
@@ -119,7 +172,7 @@ def solve_ground_state(
 ) -> GroundState:
     """Gated ground state of ``system`` without its excited states, from
     the route ``_solve`` selects; ``GroundState.route`` records which ran."""
-    return _solve(system, deg_tol, lambda ground: ground, lambda spec: None)[0]
+    return _solve(system, deg_tol, chi=False)[0]
 
 
 def ground_response(
@@ -127,12 +180,8 @@ def ground_response(
 ) -> tuple[GroundState, np.ndarray]:
     """Gated ground state and full ``n x n`` susceptibility matrix, from the
     route ``_solve`` selects; ``GroundState.route`` records which ran."""
-    return _solve(
-        system,
-        deg_tol,
-        lambda ground: krylov_susceptibility(system, ground),
-        lambda spec: cross_susceptibility_matrix(spec, deg_tol),
-    )
+    ground, chi, _ = _solve(system, deg_tol)
+    return ground, chi
 
 
 def path_response(
@@ -141,33 +190,11 @@ def path_response(
     """Exact ``d<sz_i>/dlambda`` of the gated ground state of ``system`` under
     ``H + lambda V``, ``V`` the Hamiltonian of ``direction``.
 
-    ``H`` is linear in its coefficients, so ``V|0>`` is one matvec. It is
-    taken for ``direction`` scaled to unit largest coefficient and the
+    It is taken for ``direction`` scaled to unit largest coefficient and the
     result scaled back, so no intermediate overflows; ``ValueError`` when
     the result does not fit in a float.
     """
-    d, scale = direction, direction.coefficient_scale or 1.0
-    apply_v = hamiltonian_operator(
-        QubitSystem(delta=d.delta / scale, h=d.h / scale, J=d.J / scale)
-    )
-
-    def dense_part(spec: Spectrum) -> np.ndarray:
-        v0, overlaps, gaps = _sum_over_states(spec, deg_tol)
-        return -2.0 * (overlaps / gaps) @ (spec.states[:, 1:].T @ apply_v(v0))
-
-    _, unit = _solve(
-        system,
-        deg_tol,
-        lambda ground: krylov_path_response(system, ground, apply_v(ground.vector)),
-        dense_part,
-    )
-    with np.errstate(over="ignore"):
-        response = scale * unit
-    if not np.isfinite(response).all():
-        raise ValueError(
-            "the path response overflows; the direction's coefficients are too large"
-        )
-    return response
+    return _solve(system, deg_tol, chi=False, direction=direction)[2]
 
 
 def ground_sz_on_path(

@@ -10,7 +10,10 @@ normalized per-cut witness ``|w~| / (N_AB + |w~|)`` and the geometric-mean
 global witness over all cuts are both bounded in [0, 1). A path-based
 witness ``sum_{i<j} |J_ij * chi_i * chi_j|``, with ``chi_i = d<sz_i>/dlambda``
 the exact path response along a direction (``observables.path_response``),
-certifies entanglement without resolving individual cuts.
+certifies entanglement without resolving individual cuts. When the path
+point at ``lambda0`` is the system itself, the reports take ``w_lambda``
+from their own ground-state solve; otherwise ``witness_lambda`` solves the
+path point.
 
 Every cut is evaluated at once from the cached ``crossing_table`` (which
 pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
@@ -30,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import MAX_QUBITS, AffinePath, QubitSystem
-from .observables import cross_susceptibility_matrix, path_response
-from .spectrum import DegenerateGroundError, GroundState, Spectrum, ground_state
+from .observables import _solve, path_response, spectrum_response
+from .spectrum import DegenerateGroundError, GroundState, Spectrum
 
 COUPLING_RTOL = 1e-12  # |J_ij| above 1e-12 * max(1, max|J|) counts as a coupling
 
@@ -222,6 +225,17 @@ def _report(
     )
 
 
+def _lambda_sum(J: np.ndarray, chi: np.ndarray) -> float:
+    """``sum_{i<j} |J_ij * chi_i * chi_j|``; ``ValueError`` when it does not
+    fit in a float."""
+    i, j = np.triu_indices(chi.size, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: rejected below
+        total = float(np.abs(J[i, j] * chi[i] * chi[j]).sum())
+    if not math.isfinite(total):
+        raise ValueError("w_lambda overflows; the direction's coefficients are too large")
+    return total
+
+
 def witness_lambda(
     path: AffinePath, lambda0: float = 0.0, deg_tol: float | None = None
 ) -> float:
@@ -233,13 +247,43 @@ def witness_lambda(
     ``ValueError`` when the sum does not fit in a float.
     """
     system = path.at(lambda0)
-    chi = path_response(system, path.direction, deg_tol)
-    i, j = np.triu_indices(system.n, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: rejected below
-        total = float(np.abs(system.J[i, j] * chi[i] * chi[j]).sum())
-    if not math.isfinite(total):
-        raise ValueError("w_lambda overflows; the direction's coefficients are too large")
-    return total
+    return _lambda_sum(system.J, path_response(system, path.direction, deg_tol))
+
+
+def _shared_direction(
+    system: QubitSystem, path: AffinePath | None, lambda0: float
+) -> QubitSystem | None:
+    """``path.direction`` when ``path.at(lambda0)`` has exactly the
+    coefficients of ``system``, whose ground-state solve then serves the
+    lambda row too; ``None`` when the row needs a second solve or there is
+    no path. Equal coefficients, signed zeros included, give a bitwise-equal
+    ``H``. A path point that cannot be built takes the second solve, which
+    raises its error after the report's own solve."""
+    if path is None:
+        return None
+    try:
+        point = path.at(lambda0)
+    except ValueError:
+        return None
+    same = all(
+        np.array_equal(getattr(point, name), getattr(system, name))
+        for name in ("delta", "h", "J")
+    )
+    return path.direction if same else None
+
+
+def _lambda_row(
+    system: QubitSystem,
+    path: AffinePath | None,
+    lambda0: float,
+    deg_tol: float | None,
+    response: np.ndarray | None,
+) -> float | None:
+    """``w_lambda`` from the shared solve's path ``response``, else from a
+    second solve at ``lambda0``; ``None`` without a path."""
+    if response is not None:
+        return _lambda_sum(system.J, response)
+    return None if path is None else witness_lambda(path, lambda0, deg_tol)
 
 
 def witness_report(
@@ -250,27 +294,39 @@ def witness_report(
     lambda0: float = 0.0,
 ) -> WitnessReport:
     """Assemble all per-cut witnesses and the global witness from a dense
-    spectrum.
+    spectrum of ``system``.
 
-    When a ``path`` is supplied, ``w_lambda`` is evaluated at ``lambda0``;
-    a degenerate ground level there leaves it ``None`` instead of failing
-    the whole report.
+    When a ``path`` is supplied, ``w_lambda`` is evaluated at ``lambda0``:
+    from ``spec`` itself when ``path.at(lambda0)`` is ``system``, otherwise
+    from a second solve, where a degenerate ground level leaves it ``None``
+    instead of failing the whole report.
     """
-    ground = ground_state(spec, deg_tol)
-    chi = cross_susceptibility_matrix(spec, deg_tol)
-    w_lambda = None
-    if path is not None:
-        try:
-            w_lambda = witness_lambda(path, lambda0, deg_tol)
-        except DegenerateGroundError:
-            w_lambda = None
+    direction = _shared_direction(system, path, lambda0)
+    ground, chi, response = spectrum_response(spec, deg_tol, direction)
+    try:
+        w_lambda = _lambda_row(system, path, lambda0, deg_tol, response)
+    except DegenerateGroundError:  # only a second solve can raise it here
+        w_lambda = None
     return _report(ground, chi, system, w_lambda)
 
 
-def assemble_witness_report(
-    ground: GroundState, chi: np.ndarray, system: QubitSystem
+def solve_witness_report(
+    system: QubitSystem,
+    deg_tol: float | None = None,
+    path: AffinePath | None = None,
+    lambda0: float = 0.0,
 ) -> WitnessReport:
-    """Per-cut and global witnesses from a gated ground state and its
-    susceptibility matrix, as ``ground_response`` returns them; ``w_lambda``
-    stays ``None``."""
-    return _report(ground, chi, system, None)
+    """Witness report of ``system`` from the route ``ground_response``
+    selects (dense or Krylov), with ``w_lambda`` at ``lambda0`` when a
+    ``path`` is supplied.
+
+    The lambda row shares the report's ground-state solve when
+    ``path.at(lambda0)`` is ``system`` (always at ``lambda0 = 0`` on a path
+    based at ``system``) and takes a second one otherwise. Unlike
+    ``witness_report``, a degenerate ground level at ``lambda0`` raises
+    ``DegenerateGroundError``.
+    """
+    direction = _shared_direction(system, path, lambda0)
+    ground, chi, response = _solve(system, deg_tol, direction=direction)
+    w_lambda = _lambda_row(system, path, lambda0, deg_tol, response)
+    return _report(ground, chi, system, w_lambda)

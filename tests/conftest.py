@@ -16,7 +16,6 @@ from witness_lab import (
     coupled_pairs,
     diagonalize,
     ground_state,
-    sigma_z_expectation,
 )
 from witness_lab.observables import ground_sz_on_path
 from witness_lab.spectrum import require_positive_finite
@@ -52,6 +51,27 @@ def brute_hamiltonian(delta, h, J):
 def brute_sz(vec, i, n):
     """<vec|sz_i|vec> via the explicit embedded operator."""
     return float(vec @ (kron_op(SZ, i, n) @ vec))
+
+
+def sigma_z_expectation(state, i):
+    """Per-qubit oracle for ``sigma_z_profile``: ``<state|sz_i|state>`` for a
+    normalized real state, from the diagonal of ``sz_i`` built by Kronecker
+    products of one-qubit diagonals. The same sum of the same products as
+    the library's row, so the two agree bitwise. ``ValueError`` for an
+    unnormalized state, a length that is not a power of two or a qubit index
+    out of range."""
+    state = np.asarray(state, dtype=float)
+    n = state.size.bit_length() - 1
+    if state.ndim != 1 or state.size != 1 << n:
+        raise ValueError(f"state length {state.size} is not a power of two")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+        raise ValueError("state is not normalized")
+    if not 0 <= i < n:
+        raise ValueError(f"qubit index {i} out of range for n={n}")
+    signs = np.ones(1)
+    for k in range(n):
+        signs = np.kron(signs, np.diagonal(SZ) if k == i else np.ones(2))
+    return float(np.dot(signs * state, state))
 
 
 def brute_chi_sos(energies, vectors, i, j, n):

@@ -9,7 +9,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import default_fd_step, random_couplings, susceptibility_fd
+from conftest import (
+    default_fd_step,
+    random_couplings,
+    sigma_z_expectation,
+    susceptibility_fd,
+)
 
 from witness_lab import (
     AffinePath,
@@ -27,7 +32,6 @@ from witness_lab import (
     is_fully_separable,
     is_separable,
     run_sweep,
-    sigma_z_expectation,
     witness_report,
 )
 from witness_lab.separability import schmidt_coefficients

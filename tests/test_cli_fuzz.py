@@ -17,7 +17,8 @@ import tempfile
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from witness_lab.cli import main
+from witness_lab.cli import main, parse_config
+from witness_lab.witness import _shared_direction
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None, database=None)
 
@@ -29,6 +30,11 @@ wild = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-3, 5),
 )
+
+# Zero of either sign, or 1e-320, which vanishes next to every coefficient,
+# puts the lambda row on the system itself, which shares the report's
+# ground-state solve; 1e-3 and most of sane take a second solve.
+lambda0s = st.sampled_from([0.0, -0.0, 1e-320, 1e-3]) | sane
 
 # Any JSON value, with bounded integers and short containers: it may stand
 # in for any part of a document.
@@ -74,7 +80,7 @@ def valid_documents(draw):
     if draw(st.booleans()):
         doc["witness"] = {
             "lambda_direction": draw(system_blocks(n, with_n=False)),
-            "lambda0": draw(sane),
+            "lambda0": draw(lambda0s),
         }
     if draw(st.booleans()):
         keys = st.sampled_from(["deg_tol", "var_tol", "fd_step", "schmidt_tol"])
@@ -91,6 +97,38 @@ def _slots(node):
         if isinstance(value, (dict, list)):
             slots.extend(_slots(value))
     return slots
+
+
+def _mutate_lambda_row(draw, block):
+    """Wild ``lambda0`` or a wild entry of the lambda direction: the row
+    then overflows, fails to build its path point or leaves the system."""
+    if draw(st.booleans()):
+        block["lambda0"] = draw(wild)
+        return
+    direction = block["lambda_direction"]
+    key = draw(st.sampled_from(["delta", "h", "couplings"]))
+    if key != "couplings":
+        direction[key][draw(st.integers(0, len(direction[key]) - 1))] = draw(wild)
+    elif direction["couplings"]:
+        entry = direction["couplings"][draw(st.integers(0, len(direction["couplings"]) - 1))]
+        entry[2] = draw(wild)
+
+
+@st.composite
+def lambda_row_documents(draw):
+    """A system with a lambda row, whose ``lambda0`` or direction may then
+    be made wild."""
+    n = draw(st.integers(1, 4))
+    doc = {
+        "system": draw(system_blocks(n, with_n=True)),
+        "witness": {
+            "lambda_direction": draw(system_blocks(n, with_n=False)),
+            "lambda0": draw(lambda0s),
+        },
+    }
+    if draw(st.booleans()):
+        _mutate_lambda_row(draw, doc["witness"])
+    return doc
 
 
 @st.composite
@@ -113,6 +151,20 @@ def documents(draw):
     return doc if draw(st.sampled_from([True] * 19 + [False])) else draw(junk)
 
 
+def _run(argv, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+    return code, out.getvalue()
+
+
 @FUZZ
 @given(
     doc=documents(),
@@ -123,14 +175,24 @@ def test_every_document_gets_a_documented_exit_code(doc, command, levels):
     argv = [command]
     if levels is not None:
         argv += ["--levels", str(levels)]
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "run.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--config", path])
+    code, _ = _run(argv, doc)
     event(f"{command} exit {code}")
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+def _lambda_route(doc) -> str:
+    try:
+        config = parse_config(doc)
+    except ValueError:
+        return "invalid config"
+    shared = _shared_direction(config.system, config.witness_path, config.witness_lambda0)
+    return "shared solve" if shared is not None else "second solve"
+
+
+@settings(FUZZ, max_examples=100)
+@given(doc=lambda_row_documents())
+def test_every_lambda_row_gets_a_documented_exit_code(doc):
+    route = _lambda_route(doc)
+    code, out = _run(["witness"], doc)
+    event(f"{route}, exit {code}")
+    if code == 0:
+        assert "\nlambda,,," in out

@@ -18,7 +18,6 @@ from witness_lab import (
     AffinePath,
     DegenerateGroundError,
     QubitSystem,
-    assemble_witness_report,
     build_hamiltonian,
     cross_susceptibility_matrix,
     diagonalize,
@@ -26,6 +25,7 @@ from witness_lab import (
     ground_state,
     ground_sz_on_path,
     sigma_z_profile,
+    solve_witness_report,
     witness_lambda,
     witness_report,
 )
@@ -119,7 +119,7 @@ def test_random_all_to_all_agrees_with_dense(n, seed):
     assert np.max(np.abs(chi - cross_susceptibility_matrix(spec))) <= 1e-10
     assert np.array_equal(chi, chi.T)
 
-    report = assemble_witness_report(ground, chi, system)
+    report = solve_witness_report(system)
     assert report.w_lambda is None
     for got, want in zip(report.cuts, dense.cuts, strict=True):
         assert got.partition == want.partition

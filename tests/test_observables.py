@@ -8,6 +8,7 @@ from conftest import (
     lambda_susceptibility,
     random_couplings,
     resolve_fd_step,
+    sigma_z_expectation,
     susceptibility_fd,
 )
 
@@ -18,7 +19,6 @@ from witness_lab import (
     build_hamiltonian,
     cross_susceptibility_matrix,
     diagonalize,
-    sigma_z_expectation,
     sigma_z_profile,
 )
 from witness_lab.observables import path_response
@@ -56,12 +56,16 @@ class TestSigmaZExpectation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             sigma_z_expectation(np.array([1.0, 1.0]), 0)
+        with pytest.raises(ValueError, match="normalized"):
+            sigma_z_profile(np.array([1.0, 1.0]))
 
     def test_rejects_bad_length_or_index(self):
         with pytest.raises(ValueError):
             sigma_z_expectation(np.array([1.0, 0.0, 0.0]), 0)
         with pytest.raises(ValueError):
             sigma_z_expectation(np.array([1.0, 0.0]), 1)
+        with pytest.raises(ValueError, match="power of two"):
+            sigma_z_profile(np.array([1.0, 0.0, 0.0]))
 
     def test_profile_matches_scalar_and_stays_bounded(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import sigma_z_expectation
 
 from witness_lab import (
     SCHMIDT_TOL,
@@ -11,7 +12,6 @@ from witness_lab import (
     ground_state,
     is_fully_separable,
     is_separable,
-    sigma_z_expectation,
 )
 from witness_lab.separability import schmidt_coefficients
 

@@ -1,6 +1,13 @@
+import json
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from conftest import brute_chi_sos, brute_ground, lambda_susceptibilities, random_couplings
+
+import witness_lab.krylov as krylov
+import witness_lab.spectrum as spectrum
 
 from witness_lab import (
     AffinePath,
@@ -17,6 +24,7 @@ from witness_lab import (
     witness_lambda,
     witness_report,
 )
+from witness_lab.cli import main
 from witness_lab.witness import enumerate_bipartitions
 
 
@@ -384,3 +392,150 @@ class TestWitnessReport:
             assert abs(value) <= 1e-8
             done += 1
         assert done == 25
+
+
+def lambda_row_document(system, direction, lambda0):
+    def block(s):
+        return {
+            "delta": [float(v) for v in s.delta],
+            "h": [float(v) for v in s.h],
+            "couplings": [
+                [i, j, float(s.J[i, j])]
+                for i in range(s.n)
+                for j in range(i + 1, s.n)
+                if s.J[i, j] != 0.0
+            ],
+        }
+
+    return {
+        "system": {"n": system.n, **block(system)},
+        "witness": {"lambda_direction": block(direction), "lambda0": lambda0},
+    }
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` wherever a ``witness_lab`` module
+    imported it; returns a one-element list holding the count."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (mod.__name__ or "").startswith("witness_lab") and getattr(
+            mod, name, None
+        ) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestOneSolvePerWitnessOp:
+    """A ``witness`` op whose lambda row sits at the system itself solves
+    the ground state once; any other ``lambda0`` takes a second solve."""
+
+    def random_path(self, n, seed):
+        rng = np.random.default_rng(seed)
+        base = QubitSystem(
+            delta=rng.uniform(0.5, 1.5, n),
+            h=rng.uniform(-0.3, 0.3, n),
+            J=random_couplings(rng, n),
+        )
+        direction = QubitSystem(
+            delta=rng.uniform(-1, 1, n), h=rng.uniform(-1, 1, n), J=random_couplings(rng, n)
+        )
+        return AffinePath(base=base, direction=direction)
+
+    def run(self, tmp_path, capsys, doc, *flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["witness", "--config", str(cfg), *flags])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "n, lambda0, diagonalizations, lanczos_runs",
+        [(8, 0.0, 1, 0), (8, 0.25, 2, 0), (10, 0.0, 0, 2), (10, 0.25, 0, 4)],
+    )
+    def test_solve_counts(
+        self, monkeypatch, tmp_path, capsys, n, lambda0, diagonalizations, lanczos_runs
+    ):
+        path = self.random_path(n, 70 + n)
+        dense = count_calls(monkeypatch, spectrum, "diagonalize")
+        lanczos = count_calls(monkeypatch, krylov, "_lanczos")
+        doc = lambda_row_document(path.base, path.direction, lambda0)
+        code, out, _ = self.run(tmp_path, capsys, doc)
+        assert code == 0 and "\nlambda,,," in out
+        assert (dense[0], lanczos[0]) == (diagonalizations, lanczos_runs)
+
+    def test_lambda_row_is_bitwise_witness_lambda(self, tmp_path, capsys):
+        for n in range(2, 11):
+            path = self.random_path(n, 90 + n)
+            # a signed zero in the system: path.at(0.0) turns it into +0.0,
+            # which must still share the solve and change no digit
+            h = np.array(path.base.h)
+            h[0] = -0.0
+            base = QubitSystem(delta=path.base.delta, h=h, J=path.base.J)
+            path = AffinePath(base=base, direction=path.direction)
+            # lambda0 = 0.25 leaves the system: a second solve
+            for lambda0, flags, deg_tol in (
+                (0.0, (), None),
+                (0.0, ("--deg-tol", "1e-6"), 1e-6),
+                (0.25, (), None),
+            ):
+                doc = lambda_row_document(base, path.direction, lambda0)
+                code, out, _ = self.run(tmp_path, capsys, doc, *flags)
+                assert code == 0
+                row = next(line for line in out.splitlines() if line.startswith("lambda"))
+                assert row == f"lambda,,,{witness_lambda(path, lambda0, deg_tol)!r}"
+
+    @pytest.mark.parametrize("lambda0", [0.0, -0.0, 1e-320])
+    def test_dense_report_takes_the_row_from_its_spectrum(self, monkeypatch, lambda0):
+        # 1e-320 * 1 vanishes next to every coefficient: the point is the system
+        path = self.random_path(5, 5)
+        spec = spectrum_of(path.base)
+        expected = witness_lambda(path, lambda0)
+        dense = count_calls(monkeypatch, spectrum, "diagonalize")
+        report = witness_report(spec, path.base, path=path, lambda0=lambda0)
+        assert dense[0] == 0
+        assert report.w_lambda == expected
+
+    @pytest.mark.parametrize("lambda0", [0.0, 1e308])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_degenerate_ground_exits_3(self, monkeypatch, tmp_path, capsys, n, lambda0):
+        # Zero-bias ferromagnetic chain: the tunnel splitting is far below
+        # the degeneracy tolerance. At lambda0 = 1e308 the path point itself
+        # overflows (exit 2 on its own), but the report's solve fails first.
+        J = np.zeros((n, n))
+        for i in range(n - 1):
+            J[i, i + 1] = J[i + 1, i] = -1.0
+        system = QubitSystem(delta=np.full(n, 1e-3), h=np.zeros(n), J=J)
+        direction = QubitSystem(
+            delta=np.zeros(n), h=np.full(n, 10.0), J=np.zeros((n, n))
+        )
+        dense = count_calls(monkeypatch, spectrum, "diagonalize")
+        lanczos = count_calls(monkeypatch, krylov, "_lanczos")
+        code, out, err = self.run(
+            tmp_path, capsys, lambda_row_document(system, direction, lambda0)
+        )
+        assert code == 3 and out == "" and err.startswith("DegenerateGround: ")
+        assert (dense[0], lanczos[0]) == ((1, 0) if n < 10 else (0, 2))
+
+    @pytest.mark.parametrize("n", [2, 8, 10])
+    def test_overflowing_response_exits_2(self, monkeypatch, tmp_path, capsys, n):
+        path = self.random_path(n, n)
+        direction = QubitSystem(
+            delta=np.zeros(n), h=np.full(n, 1e308), J=np.zeros((n, n))
+        )
+        dense = count_calls(monkeypatch, spectrum, "diagonalize")
+        lanczos = count_calls(monkeypatch, krylov, "_lanczos")
+        code, out, err = self.run(
+            tmp_path, capsys, lambda_row_document(path.base, direction, 0.0)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("config error: ") and "overflows" in err
+        assert "Warning" not in err
+        assert (dense[0], lanczos[0]) == ((1, 0) if n < 10 else (0, 2))
