@@ -53,8 +53,8 @@ from .model import AffinePath, QubitSystem, build_hamiltonian
 from .separability import resolve_schmidt_tolerance
 from .spectrum import (
     DegenerateGroundError,
-    diagonalize,
-    ground_state,
+    eigenvalues,
+    ground_gap,
     require_positive_finite,
 )
 from .sweep import (
@@ -318,15 +318,15 @@ def _resolve_tolerances(config: RunConfig, args) -> dict:
 def _cmd_spectrum(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
-    spec = diagonalize(build_hamiltonian(config.system))
-    levels = spec.dim if args.levels is None else args.levels
-    if not 1 <= levels <= spec.dim:
-        raise ConfigError(f"--levels must be in [1, {spec.dim}], got {levels}")
+    energies = eigenvalues(build_hamiltonian(config.system)[None])[0]
+    levels = energies.size if args.levels is None else args.levels
+    if not 1 <= levels <= energies.size:
+        raise ConfigError(f"--levels must be in [1, {energies.size}], got {levels}")
     rows = ["level,energy"]
-    rows += [f"{k},{_fmt(spec.energies[k])}" for k in range(levels)]
+    rows += [f"{k},{_fmt(energies[k])}" for k in range(levels)]
     if args.ground:
-        gs = ground_state(spec, tol["deg_tol"])
-        rows.append(f"gap,{_fmt(gs.gap)}")
+        gap = ground_gap(energies[0], energies[1], energies[-1], tol["deg_tol"])
+        rows.append(f"gap,{_fmt(gap)}")
     return EXIT_OK, rows, []
 
 

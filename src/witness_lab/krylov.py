@@ -32,18 +32,16 @@ from typing import Callable
 import numpy as np
 
 from .model import QubitSystem, hamiltonian_diagonal, sigma_z_table
-from .spectrum import GroundState, gate_ground
+from .spectrum import EIGEN_RTOL, TRUE_RESIDUAL_SLACK, GroundState, ground_gap
 
 KRYLOV_MIN_DIM = 1024  # below this dimension a dense eigh is faster
 
 START_SEED = 2013
 LANCZOS_MAX_ITER = 300
 LANCZOS_CHECK_EVERY = 5  # Lanczos steps between Ritz convergence checks
-LANCZOS_RTOL = 1e-12  # eigen-residual relative to max(1, ||H||)
 MAX_COEFFICIENT = 1e150  # keeps ||H v|| well below sqrt(float max), where norms overflow
 CG_MAX_ITER = 400
 CG_RTOL = 1e-12  # residual of every system relative to its right-hand side
-TRUE_RESIDUAL_SLACK = 100.0  # recomputed residuals may exceed the tolerance this much
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
@@ -101,12 +99,12 @@ def _lanczos(
             alpha[m] += coeff[m]
         beta[m] = np.linalg.norm(w)
         last = m + 1 == basis.shape[0]
-        if (m + 1) % LANCZOS_CHECK_EVERY and beta[m] > LANCZOS_RTOL and not last:
+        if (m + 1) % LANCZOS_CHECK_EVERY and beta[m] > EIGEN_RTOL and not last:
             q = w / beta[m]
             continue
         T = np.diag(alpha[: m + 1]) + np.diag(beta[:m], 1) + np.diag(beta[:m], -1)
         theta, y = np.linalg.eigh(T)
-        tol = LANCZOS_RTOL * max(1.0, abs(theta[0]), abs(theta[-1]))
+        tol = EIGEN_RTOL * max(1.0, abs(theta[0]), abs(theta[-1]))
         if beta[m] * abs(y[-1, 0]) <= tol:
             vector = y[:, 0] @ block
             vector /= np.linalg.norm(vector)
@@ -143,9 +141,7 @@ def krylov_ground_state(
         return None
     e1 = excited[0]
     v0.setflags(write=False)
-    return gate_ground(
-        energy=e0, vector=v0, excited=e1, top=e_max, deg_tol=deg_tol, route="krylov"
-    )
+    return GroundState(e0, v0, gap=ground_gap(e0, e1, e_max, deg_tol), route="krylov")
 
 
 def _orthonormal_span(Z: np.ndarray) -> np.ndarray:

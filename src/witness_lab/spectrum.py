@@ -1,12 +1,21 @@
-"""Dense symmetric eigendecomposition with deterministic conventions, and
-the degeneracy gate every ground-state route passes through.
+"""Dense symmetric eigensolvers with deterministic conventions, and the
+degeneracy gate every ground-state route passes through.
 
-``diagonalize`` computes the full decomposition: the ``spectrum`` and
-``sweep`` commands report excited levels, and the sum-over-states
-susceptibility sums over every excited state. Routes that need only the
-ground state, its gap and the susceptibility matrix (the ``witness`` command
-at dimension 1024 and above) use the matrix-free Krylov solvers in
-``krylov`` instead, and hand their energies to the same gate.
+* ``diagonalize`` computes the full decomposition. Only the sum-over-states
+  susceptibility needs it, because it sums over every excited state.
+* ``eigenvalues`` computes the energies alone, for one matrix or a stack:
+  the ``spectrum`` command prints them and takes its gap from them.
+* ``ground_states`` adds the gated ground vector to those energies, for a
+  stack of matrices: sweeps, ``certify`` and every dense solve that needs no
+  susceptibility. No excited eigenvector is computed. Each ground vector
+  comes from shifted inverse iteration and must pass a true-residual check;
+  a point whose solve fails or whose check fails is recomputed on its own by
+  ``diagonalize``, so no unverified vector is returned.
+
+Routes that need only the ground state, its gap and the susceptibility
+matrix at dimension 1024 and above (the ``witness`` command) use the
+matrix-free Krylov solvers in ``krylov`` instead, and hand their energies to
+the same gate, ``ground_gap``.
 """
 
 from __future__ import annotations
@@ -18,6 +27,11 @@ import numpy as np
 
 MAX_DIM = 4096
 SYMMETRY_RTOL = 1e-12
+EIGEN_RTOL = 1e-12  # eigen-residual relative to max(1, |E_0|, |E_max|)
+TRUE_RESIDUAL_SLACK = 100.0  # recomputed residuals may exceed the tolerance this much
+SHIFT_RTOL = 1e-13  # inverse-iteration shift below E_0, relative like EIGEN_RTOL
+INVERSE_STEPS = 2
+GOLDEN = 0.6180339887498949  # Weyl sequence step of the inverse-iteration start
 
 
 class DegenerateGroundError(Exception):
@@ -46,8 +60,9 @@ class Spectrum:
 class GroundState:
     """Gated ground state: ``gap`` exceeded the degeneracy tolerance.
 
-    ``route`` names the solver that produced it: ``"dense"`` for the full
-    eigendecomposition, ``"krylov"`` for the matrix-free Lanczos solver.
+    ``route`` names the solver that produced it: ``"dense"`` for a dense
+    solver of this module (the full eigendecomposition or ``ground_states``),
+    ``"krylov"`` for the matrix-free Lanczos solver.
     """
 
     energy: float
@@ -65,22 +80,11 @@ def diagonalize(H: np.ndarray) -> Spectrum:
     float range raises ``ValueError``; a failed iteration inside the solver
     surfaces as ``numpy.linalg.LinAlgError``.
     """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    dim = H.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense cap {MAX_DIM}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix must contain only finite values")
-    scale = max(1.0, float(np.abs(H).max()))
-    if float(np.abs(H - H.T).max()) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-
+    H = _check_matrix(H, 2)
     energies, states = np.linalg.eigh(H)
-    if not np.all(np.isfinite(energies)):
-        raise ValueError("eigenvalues overflow; the coefficients are too large")
+    _check_energies(energies)
 
+    dim = H.shape[0]
     lead = np.argmax(np.abs(states), axis=0)
     flip = states[lead, np.arange(dim)] < 0.0
     states[:, flip] *= -1.0
@@ -88,6 +92,45 @@ def diagonalize(H: np.ndarray) -> Spectrum:
     energies.setflags(write=False)
     states.setflags(write=False)
     return Spectrum(energies=energies, states=states)
+
+
+def _check_matrix(H: np.ndarray, ndim: int) -> np.ndarray:
+    """``H`` as a float array, or ``ValueError`` unless it is one matrix
+    (``ndim`` 2) or a stack of matrices (``ndim`` 3) that are square, finite
+    and symmetric, of dimension at most ``MAX_DIM``: the input rules of
+    every dense solver."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != ndim or H.shape[-1] != H.shape[-2]:
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"expected {what}, got shape {H.shape}")
+    dim = H.shape[-1]
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the dense cap {MAX_DIM}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("matrix must contain only finite values")
+    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
+    if np.any(np.abs(H - np.swapaxes(H, -2, -1)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+        raise ValueError("matrix is not symmetric within tolerance")
+    return H
+
+
+def _check_energies(energies: np.ndarray) -> None:
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("eigenvalues overflow; the coefficients are too large")
+
+
+def eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape ``(m, dim)``, of every real symmetric
+    matrix in a stack of shape ``(m, dim, dim)``, without eigenvectors.
+
+    Every matrix is validated as ``diagonalize`` validates its input, with
+    the same messages, and an eigenvalue beyond the float range raises
+    ``ValueError``. A matrix gives bitwise the same energies alone as in a
+    stack.
+    """
+    energies = np.linalg.eigvalsh(_check_matrix(H, 3))
+    _check_energies(energies)
+    return energies
 
 
 def resolve_degeneracy_tolerance(deg_tol: float | None, width: float) -> float:
@@ -111,15 +154,11 @@ def require_positive_finite(name: str, value: float) -> float:
     return value
 
 
-def gate_ground(
-    energy: float,
-    vector: np.ndarray,
-    excited: float,
-    top: float,
-    deg_tol: float | None,
-    route: str,
-) -> GroundState:
-    """The degeneracy gate shared by every ground-state route.
+def ground_gap(
+    energy: float, excited: float, top: float, deg_tol: float | None
+) -> float:
+    """The degeneracy gate shared by every ground-state route: the gap
+    ``E_1 - E_0`` as a float.
 
     ``energy``, ``excited`` and ``top`` are ``E_0``, ``E_1`` and the highest
     energy (the spectral width ``top - energy`` sets the default tolerance).
@@ -144,22 +183,103 @@ def gate_ground(
         raise DegenerateGroundError(
             f"ground gap {gap:.3e} is within degeneracy tolerance {deg_tol:.3e}"
         )
-    return GroundState(energy=energy, vector=vector, gap=gap, route=route)
+    return gap
 
 
 def ground_state(spec: Spectrum, deg_tol: float | None = None) -> GroundState:
     """Lowest eigenpair and its gap; fails rather than guessing on degeneracy.
 
     Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol`` (see
-    ``gate_ground``).
+    ``ground_gap``).
     """
     if spec.dim < 2:
         raise ValueError("spectrum must contain at least two levels")
-    return gate_ground(
-        energy=spec.energies[0],
-        vector=spec.states[:, 0],
-        excited=spec.energies[1],
-        top=spec.energies[-1],
-        deg_tol=deg_tol,
-        route="dense",
-    )
+    energies = spec.energies
+    gap = ground_gap(energies[0], energies[1], energies[-1], deg_tol)
+    return GroundState(float(energies[0]), spec.states[:, 0], gap=gap, route="dense")
+
+
+def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> list[np.ndarray | None]:
+    """Read-only ground vectors of a stack of matrices with ascending
+    ``energies``; ``None`` for a matrix whose solve raises or whose vector
+    fails the true-residual check of the Lanczos solver, ``|H v - E_0 v| <=
+    TRUE_RESIDUAL_SLACK * EIGEN_RTOL * max(1, |E_0|, |E_max|)``.
+
+    ``INVERSE_STEPS`` solves with ``H - sigma I``, where ``sigma = E_0 -
+    SHIFT_RTOL * max(1, |E_0|, |E_max|)`` sits just below the ground level
+    so that no factor is singular. The start is fixed and needs no random
+    generator: ``1 + frac(k * GOLDEN)``, positive, so it overlaps the
+    positive ground state of nonnegative ``delta`` well, and irregular, so no
+    sign symmetry of ``H`` makes it orthogonal to the ground state. Signs
+    follow ``diagonalize``: the largest-magnitude component is positive.
+    """
+    m, dim = energies.shape
+    scale = np.maximum(1.0, np.maximum(np.abs(energies[:, 0]), np.abs(energies[:, -1])))
+    shift = energies[:, 0] - SHIFT_RTOL * scale
+    start = 1.0 + np.modf(np.arange(1, dim + 1) * GOLDEN)[0]
+    with np.errstate(all="ignore"):  # a non-finite vector fails the check
+        A = H - shift[:, None, None] * np.eye(dim)
+        x = np.broadcast_to(start, (m, dim))
+        try:
+            for _ in range(INVERSE_STEPS):
+                x = np.linalg.solve(A, x[..., None])[..., 0]
+                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        except np.linalg.LinAlgError:  # retry point by point: only one may fail
+            if m == 1:
+                return [None]
+            pieces = [_inverse_iteration(H[k : k + 1], energies[k : k + 1]) for k in range(m)]
+            return [vector for (vector,) in pieces]
+        residual = np.linalg.norm((H @ x[..., None])[..., 0] - energies[:, :1] * x, axis=1)
+        verified = residual <= TRUE_RESIDUAL_SLACK * EIGEN_RTOL * scale
+        lead = np.argmax(np.abs(x), axis=1)
+        x[x[np.arange(m), lead] < 0.0] *= -1.0
+    x.setflags(write=False)
+    return [vector if ok else None for vector, ok in zip(x, verified)]
+
+
+def ground_states(
+    H: np.ndarray, deg_tol: float | None = None
+) -> tuple[np.ndarray, list[GroundState | DegenerateGroundError]]:
+    """Energies of every matrix in a stack ``(m, dim, dim)`` and its gated
+    ground state, or the ``DegenerateGroundError`` its gate raised.
+
+    One stacked ``eigenvalues`` call gives every energy and each point
+    passes ``ground_gap``. A nondegenerate point takes its ground vector
+    from ``_inverse_iteration``; where that returns ``None`` the point alone
+    is recomputed by ``ground_state(diagonalize(...))``, so every vector is
+    verified. No excited eigenvector is computed. A matrix gives bitwise the
+    same record alone as in a stack.
+    """
+    H = np.asarray(H, dtype=float)
+    energies = eigenvalues(H)
+    if H.shape[-1] < 2:
+        raise ValueError("spectrum must contain at least two levels")
+    # Each entry is the point's gap or its DegenerateGroundError until the
+    # point's ground state replaces the gap.
+    grounds: list = []
+    for levels in energies:
+        try:
+            grounds.append(ground_gap(levels[0], levels[1], levels[-1], deg_tol))
+        except DegenerateGroundError as exc:
+            grounds.append(exc)
+    live = [k for k, gap in enumerate(grounds) if isinstance(gap, float)]
+    vectors = _inverse_iteration(H[live], energies[live]) if live else []
+    for k, vector in zip(live, vectors):
+        if vector is not None:
+            energy = float(energies[k, 0])
+            grounds[k] = GroundState(energy, vector, gap=grounds[k], route="dense")
+            continue
+        try:
+            grounds[k] = ground_state(diagonalize(H[k]), deg_tol)
+        except DegenerateGroundError as exc:
+            grounds[k] = exc
+    return energies, grounds
+
+
+def dense_ground_state(H: np.ndarray, deg_tol: float | None = None) -> GroundState:
+    """Gated ground state of one matrix by ``ground_states``; raises
+    ``DegenerateGroundError`` as ``ground_state`` does."""
+    ground = ground_states(np.asarray(H, dtype=float)[None], deg_tol)[1][0]
+    if isinstance(ground, DegenerateGroundError):
+        raise ground
+    return ground

@@ -5,8 +5,9 @@ lowest energies, the gap, and the ground-state ``<sz_i>`` trajectory at every
 point. It works from the path's coefficient grid (``AffinePath.coefficients``)
 rather than one ``QubitSystem`` per point: Hamiltonians are built a chunk of
 grid points at a time, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, and each
-is diagonalized on its own through ``diagonalize`` and gated through
-``ground_state``. A point records energies, gap and ``<sz_i>`` only: no
+chunk is solved by one ``spectrum.ground_states`` call: stacked eigenvalues,
+the degeneracy gate per point and a residual-checked ground vector, with no
+excited eigenvectors. A point records energies, gap and ``<sz_i>`` only: no
 witness report and no system per point. Degenerate points are flagged
 rather than failing the sweep. On top of a sweep result:
 
@@ -29,8 +30,8 @@ from .observables import sigma_z_profile
 from .separability import SCHMIDT_TOL, is_fully_separable, resolve_schmidt_tolerance
 from .spectrum import (
     DegenerateGroundError,
-    diagonalize,
-    ground_state,
+    dense_ground_state,
+    ground_states,
     require_positive_finite,
 )
 from .witness import coupled_pairs
@@ -103,10 +104,10 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
 
     The path's coefficients and Hamiltonians are built for a chunk of grid
     points at once, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, so no
-    ``QubitSystem`` is made per point. Each point is then diagonalized on
-    its own, so its record is bitwise what a per-point
-    ``diagonalize(build_hamiltonian(path.at(lam)))`` gives. A degenerate
-    point gets ``degenerate=True`` and NaN ``sz``.
+    ``QubitSystem`` is made per point, and each chunk is solved by one
+    ``ground_states`` call. A point's record is bitwise what
+    ``ground_states`` gives for ``build_hamiltonian(path.at(lam))`` alone. A
+    degenerate point gets ``degenerate=True`` and NaN ``sz``.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
@@ -114,19 +115,15 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     points = []
     for start in range(0, grid.size, chunk):
         lams = grid[start : start + chunk]
-        for lam, H in zip(lams, build_hamiltonians(*path.coefficients(lams))):
-            spec = diagonalize(H)
-            try:
-                sz = sigma_z_profile(ground_state(spec, deg_tol).vector)
-                degenerate = False
-            except DegenerateGroundError:
-                sz = np.full(path.n, np.nan)
-                degenerate = True
+        H = build_hamiltonians(*path.coefficients(lams))
+        for lam, levels, ground in zip(lams, *ground_states(H, deg_tol)):
+            degenerate = isinstance(ground, DegenerateGroundError)
+            sz = np.full(path.n, np.nan) if degenerate else sigma_z_profile(ground.vector)
             points.append(
                 SweepPoint(
                     lam=float(lam),
-                    energies=np.array(spec.energies[: config.track_levels]),
-                    gap=float(spec.energies[1] - spec.energies[0]),
+                    energies=np.array(levels[: config.track_levels]),
+                    gap=float(levels[1] - levels[0]),
                     sz=sz,
                     degenerate=degenerate,
                 )
@@ -202,15 +199,14 @@ def _find_nonseparable_point(
     result: SweepResult, deg_tol: float | None, schmidt_tol: float
 ) -> float | None:
     # Search in ascending-gap order: entanglement is most likely where the
-    # levels almost touch, so this usually ends after one diagonalization.
+    # levels almost touch, so this usually ends after one ground-state solve.
     order = np.argsort(result.gaps, kind="stable")
     for k in order:
         point = result.points[k]
         if point.degenerate:
             continue
         H = build_hamiltonians(*result.config.path.coefficients([point.lam]))[0]
-        gs = ground_state(diagonalize(H), deg_tol)
-        if not is_fully_separable(gs.vector, schmidt_tol):
+        if not is_fully_separable(dense_ground_state(H, deg_tol).vector, schmidt_tol):
             return point.lam
     return None
 

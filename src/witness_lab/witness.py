@@ -69,20 +69,6 @@ class Bipartition:
     def complement_members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if not self.mask >> i & 1)
 
-    @property
-    def is_canonical(self) -> bool:
-        return bool(self.mask & 1)
-
-    def complement(self) -> "Bipartition":
-        return Bipartition(mask=((1 << self.n) - 1) ^ self.mask, n=self.n)
-
-    def canonical(self) -> "Bipartition":
-        return self if self.is_canonical else self.complement()
-
-    def crosses(self, i: int, j: int) -> bool:
-        """True when qubits ``i`` and ``j`` sit on opposite sides of the cut."""
-        return bool((self.mask >> i & 1) != (self.mask >> j & 1))
-
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:
     """All canonical cuts of ``n`` qubits, ascending by mask.

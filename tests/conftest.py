@@ -11,6 +11,7 @@ states or a linear-response solve. Their step rule lives here with them.
 import numpy as np
 
 from witness_lab import (
+    Bipartition,
     QubitSystem,
     build_hamiltonian,
     coupled_pairs,
@@ -164,6 +165,27 @@ def lambda_susceptibility(path, i, lambda0=0.0, step=None, deg_tol=None):
     return float(lambda_susceptibilities(path, lambda0, step, deg_tol)[i])
 
 
+def is_canonical(cut):
+    """True when qubit 0 is in part A, the orientation
+    ``enumerate_bipartitions`` yields."""
+    return bool(cut.mask & 1)
+
+
+def complement(cut):
+    """The same cut with parts A and B swapped."""
+    return Bipartition(mask=((1 << cut.n) - 1) ^ cut.mask, n=cut.n)
+
+
+def canonical(cut):
+    """``cut`` in canonical orientation."""
+    return cut if is_canonical(cut) else complement(cut)
+
+
+def crosses(cut, i, j):
+    """True when qubits ``i`` and ``j`` sit on opposite sides of ``cut``."""
+    return bool((cut.mask >> i & 1) != (cut.mask >> j & 1))
+
+
 def per_cut_w_tilde(system, chi, cut):
     """Signed cut witness by a loop over the pairs crossing ``cut``, in
     lexicographic order, under the library's coupling rule."""
@@ -171,6 +193,6 @@ def per_cut_w_tilde(system, chi, cut):
     total = 0.0
     for i in range(system.n):
         for j in range(i + 1, system.n):
-            if cut.crosses(i, j) and coupled[i, j]:
+            if crosses(cut, i, j) and coupled[i, j]:
                 total += system.J[i, j] * chi[i, j]
     return total

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import (
+    crosses,
     default_fd_step,
     random_couplings,
     sigma_z_expectation,
@@ -63,7 +64,7 @@ def test_criterion_1_witness_soundness_on_disconnected_cuts():
         n = int(rng.integers(3, 7))
         cut = random_canonical_cut(rng, n)
         zero_pairs = {
-            (i, j) for i in range(n) for j in range(i + 1, n) if cut.crosses(i, j)
+            (i, j) for i in range(n) for j in range(i + 1, n) if crosses(cut, i, j)
         }
         system = QubitSystem(
             delta=rng.uniform(-1, 1, n),
@@ -247,7 +248,7 @@ def test_criterion_6_boundedness_and_conventions():
         if disconnect:
             cut = random_canonical_cut(rng, n)
             zero_pairs = {
-                (i, j) for i in range(n) for j in range(i + 1, n) if cut.crosses(i, j)
+                (i, j) for i in range(n) for j in range(i + 1, n) if crosses(cut, i, j)
             }
         system = QubitSystem(
             delta=rng.uniform(-1, 1, n),

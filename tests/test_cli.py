@@ -11,7 +11,8 @@ from witness_lab import (
     diagonalize,
     witness_report,
 )
-from witness_lab.cli import main
+from witness_lab.cli import load_config, main
+from witness_lab.spectrum import eigenvalues
 
 
 def write_config(tmp_path, document, name="run.json"):
@@ -231,10 +232,47 @@ class TestSpectrumCommand:
         system = QubitSystem.from_couplings(
             [0.2, 0.2, 0.2], [0.0, 0.0, 0.0], [(0, 1, -1.0), (0, 2, -1.0), (1, 2, -1.0)]
         )
-        energies = diagonalize(build_hamiltonian(system)).energies
+        H = build_hamiltonian(system)
+        energies = diagonalize(H).energies
         assert len(emitted) == 8
         assert np.all(np.diff(emitted) >= 0.0)
-        assert emitted == list(energies)
+        # The command prints the eigenvalue-only step exactly; the full
+        # decomposition agrees to rounding.
+        assert emitted == list(eigenvalues(H[None])[0])
+        assert np.abs(np.array(emitted) - energies).max() <= 1e-12 * np.abs(energies).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_sweep_rows_are_the_spectrum_levels(self, tmp_path, capsys, n):
+        # Sweeps and the spectrum command share one eigenvalue-only step, so
+        # a sweep row at lambda prints bitwise the levels of path.at(lambda).
+        rng = np.random.default_rng(40 + n)
+        couplings = [[i, j, float(rng.uniform(-1, 1))] for i in range(n) for j in range(i + 1, n)]
+        system = {"n": n, "delta": rng.uniform(-1, 1, n).tolist(),
+                  "h": rng.uniform(-1, 1, n).tolist(), "couplings": couplings}
+        direction = {"delta": rng.uniform(-0.5, 0.5, n).tolist(),
+                     "h": rng.uniform(-1, 1, n).tolist(),
+                     "couplings": [[i, j, 0.5 * v] for i, j, v in couplings]}
+        doc = {"system": system,
+               "sweep": {"direction": direction, "grid": {"start": -1.0, "stop": 1.0, "num": 9}}}
+        dim = 1 << n
+        code, out, _ = run_cli(
+            capsys, "sweep", "--config", write_config(tmp_path, doc), "--levels", str(dim)
+        )
+        assert code == 0
+        config = load_config(write_config(tmp_path, doc))
+        for row in out.splitlines()[1:]:
+            fields = row.split(",")
+            point = config.sweep_path.at(float(fields[0]))
+            point_doc = {"system": {
+                "n": n, "delta": point.delta.tolist(), "h": point.h.tolist(),
+                "couplings": [[i, j, float(point.J[i, j])]
+                              for i in range(n) for j in range(i + 1, n)],
+            }}
+            code, levels, _ = run_cli(
+                capsys, "spectrum", "--config", write_config(tmp_path, point_doc, "point.json")
+            )
+            assert code == 0
+            assert fields[1 : 1 + dim] == [line.split(",")[1] for line in levels.splitlines()[1:]]
 
     def test_ground_flag_reports_gap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PINNED)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import sigma_z_expectation
+from conftest import complement, sigma_z_expectation
 
 from witness_lab import (
     SCHMIDT_TOL,
@@ -83,7 +83,7 @@ class TestSchmidtCoefficients:
         vec /= np.linalg.norm(vec)
         cut = Bipartition(0b0101, 4)
         a = schmidt_coefficients(vec, cut)
-        b = schmidt_coefficients(vec, cut.complement())
+        b = schmidt_coefficients(vec, complement(cut))
         k = min(len(a), len(b))
         assert np.allclose(a[:k], b[:k], atol=1e-12)
         assert np.allclose(a[k:], 0.0, atol=1e-12)

@@ -1,15 +1,28 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import brute_ground
 
+import witness_lab.spectrum as spectrum_module
 from witness_lab import (
+    AffinePath,
     DegenerateGroundError,
     QubitSystem,
     build_hamiltonian,
+    build_hamiltonians,
     diagonalize,
     ground_state,
+    sigma_z_profile,
 )
-from witness_lab.spectrum import resolve_degeneracy_tolerance
+from witness_lab.spectrum import (
+    dense_ground_state,
+    eigenvalues,
+    ground_states,
+    resolve_degeneracy_tolerance,
+)
 
 
 def random_symmetric(rng, dim):
@@ -115,3 +128,212 @@ class TestGroundState:
         spec = diagonalize(np.diag([0.0, 1.0]))
         with pytest.raises(ValueError):
             ground_state(spec, deg_tol=0.0)
+
+
+def random_path_hamiltonians(rng, n, points):
+    """Hamiltonians along a random path moving delta (through zero), h and
+    J, at ``points`` grid values."""
+
+    def symmetric():
+        J = np.triu(rng.uniform(-1.5, 1.5, (n, n)), 1)
+        return J + J.T
+
+    base = QubitSystem(delta=rng.uniform(-1, 1, n), h=rng.uniform(-1, 1, n), J=symmetric())
+    direction = QubitSystem(
+        delta=rng.uniform(-0.5, 0.5, n), h=rng.uniform(-1, 1, n), J=symmetric()
+    )
+    path = AffinePath(base=base, direction=direction)
+    return build_hamiltonians(*path.coefficients(np.linspace(-2.0, 2.0, points)))
+
+
+@pytest.fixture
+def count_diagonalize(monkeypatch):
+    """The matrices ``ground_states`` falls back to ``diagonalize`` for; the
+    tests' own ``diagonalize`` calls are not counted."""
+    calls = []
+    original = spectrum_module.diagonalize
+
+    def counting(H):
+        calls.append(H)
+        return original(H)
+
+    monkeypatch.setattr(spectrum_module, "diagonalize", counting)
+    return calls
+
+
+def assert_same_ground(a, b):
+    assert a.energy == b.energy and a.gap == b.gap and a.route == b.route
+    assert a.vector.tobytes() == b.vector.tobytes()
+
+
+class TestGroundStates:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_agrees_with_diagonalize_on_random_paths(self, n, count_diagonalize):
+        rng = np.random.default_rng(100 + n)
+        H = random_path_hamiltonians(rng, n, 9 if n <= 7 else 3)
+        energies, grounds = ground_states(H)
+        for k, ground in enumerate(grounds):
+            spec = diagonalize(H[k])
+            scale = max(1.0, np.abs(spec.energies).max())
+            assert np.abs(energies[k] - spec.energies).max() <= 1e-12 * scale
+            try:
+                reference = ground_state(spec)
+            except DegenerateGroundError:
+                assert isinstance(ground, DegenerateGroundError)
+                continue
+            sz = sigma_z_profile(ground.vector)
+            assert np.abs(sz - sigma_z_profile(reference.vector)).max() <= 1e-10
+            assert ground.route == "dense"
+            assert abs(ground.gap - reference.gap) <= 1e-12 * scale
+        assert not count_diagonalize
+
+    def test_degenerate_flags_match_diagonalize(self, count_diagonalize):
+        # A classical ferromagnetic chain under a uniform bias: degenerate at
+        # lambda = 0 only; a weak transverse field splits it below deg_tol.
+        for delta in (0.0, 1e-12):
+            n = 4
+            J = np.diag(np.full(n - 1, -1.0), 1)
+            base = QubitSystem(delta=np.full(n, delta), h=np.zeros(n), J=J + J.T)
+            direction = QubitSystem(delta=np.zeros(n), h=np.ones(n), J=np.zeros((n, n)))
+            path = AffinePath(base=base, direction=direction)
+            H = build_hamiltonians(*path.coefficients(np.linspace(-1.0, 1.0, 5)))
+            _, grounds = ground_states(H)
+            flags = [isinstance(g, DegenerateGroundError) for g in grounds]
+            assert flags == [False, False, True, False, False]
+            for k, ground in enumerate(grounds):
+                if flags[k]:
+                    with pytest.raises(DegenerateGroundError):
+                        ground_state(diagonalize(H[k]))
+                    with pytest.raises(DegenerateGroundError):
+                        dense_ground_state(H[k])
+        assert not count_diagonalize
+
+    def test_biased_classical_chain_needs_no_fallback(self, count_diagonalize):
+        n = 6
+        J = np.diag(np.full(n - 1, -1.0), 1)
+        base = QubitSystem(delta=np.zeros(n), h=np.linspace(0.1, 0.3, n), J=J + J.T)
+        direction = QubitSystem(delta=np.zeros(n), h=np.ones(n), J=np.zeros((n, n)))
+        path = AffinePath(base=base, direction=direction)
+        H = build_hamiltonians(*path.coefficients(np.linspace(0.5, 2.0, 16)))
+        assert all(np.count_nonzero(M - np.diag(np.diag(M))) == 0 for M in H)
+        energies, grounds = ground_states(H)
+        assert not count_diagonalize
+        for k, ground in enumerate(grounds):
+            reference = ground_state(diagonalize(H[k]))
+            assert energies[k].tobytes() == np.sort(np.diag(H[k])).tobytes()
+            assert np.abs(sigma_z_profile(ground.vector) - 1.0).max() <= 1e-10
+            assert np.abs(ground.vector - reference.vector).max() <= 1e-12
+
+    def test_one_point_calls_equal_the_stack(self):
+        rng = np.random.default_rng(7)
+        H = random_path_hamiltonians(rng, 5, 7)
+        energies, grounds = ground_states(H)
+        for k, ground in enumerate(grounds):
+            (levels,), (alone,) = ground_states(H[k : k + 1])
+            assert levels.tobytes() == energies[k].tobytes()
+            assert_same_ground(alone, ground)
+            assert_same_ground(dense_ground_state(H[k]), ground)
+
+    def test_sign_convention_and_read_only(self):
+        rng = np.random.default_rng(8)
+        _, grounds = ground_states(random_path_hamiltonians(rng, 4, 5))
+        for ground in grounds:
+            lead = np.argmax(np.abs(ground.vector))
+            assert ground.vector[lead] > 0.0
+            assert not ground.vector.flags.writeable
+
+    @pytest.mark.parametrize("failure", ["solve raises", "residual fails"])
+    def test_forced_fallback_recomputes_that_point_only(
+        self, monkeypatch, count_diagonalize, failure
+    ):
+        rng = np.random.default_rng(9)
+        H = random_path_hamiltonians(rng, 4, 6)
+        expected_energies, expected = ground_states(H)
+        target = 2
+        off_diagonal = H[target] - np.diag(np.diag(H[target]))
+        solve = np.linalg.solve
+
+        def is_target(A):
+            return np.array_equal(A - np.diag(np.diag(A)), off_diagonal)
+
+        def failing_solve(A, b):
+            hits = [is_target(M) for M in A]
+            if failure == "solve raises" and any(hits):
+                raise np.linalg.LinAlgError("forced")
+            x = solve(A, b)
+            x[np.array(hits)] = 1.0  # not an eigenvector: the check must fail
+            return x
+
+        monkeypatch.setattr(spectrum_module.np.linalg, "solve", failing_solve)
+        energies, grounds = ground_states(H)
+        assert [M.tobytes() for M in count_diagonalize] == [H[target].tobytes()]
+        assert energies.tobytes() == expected_energies.tobytes()
+        for k, ground in enumerate(grounds):
+            if k == target:
+                assert_same_ground(ground, ground_state(diagonalize(H[k])))
+            else:
+                assert_same_ground(ground, expected[k])
+
+    def test_validation_matches_diagonalize(self):
+        bad = [
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.diag([-1.7e308, 1.7e308]) + np.array([[0.0, 1.7e308], [1.7e308, 0.0]]),
+        ]
+        for M in bad:
+            with pytest.raises(ValueError) as full:
+                diagonalize(M)
+            for solver in (eigenvalues, ground_states):
+                stack = np.stack([np.eye(2), M])
+                with pytest.raises(ValueError, match=str(full.value)):
+                    solver(stack)
+        with pytest.raises(ValueError, match="cap"):
+            eigenvalues(np.zeros((1, 4097, 4097)))
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            eigenvalues(np.eye(3))
+
+    def test_width_overflow_raises(self):
+        with pytest.raises(ValueError, match="spectral width .* overflows"):
+            ground_states(np.diag([-1.5e308, 1.5e308])[None])
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep", "spectrum"])
+def test_dense_commands_compute_no_eigenvectors(tmp_path, monkeypatch, command):
+    from witness_lab.cli import main
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    n = 4
+    doc = {
+        "system": {"n": n, "delta": [0.3] * n, "h": [0.05, -0.02, 0.01, 0.0],
+                   "couplings": [[i, i + 1, -1.0] for i in range(n - 1)]},
+        "sweep": {"direction": {"delta": [0.0] * n, "h": [1.0] * n, "couplings": []},
+                  "grid": {"start": -1.0, "stop": 1.0, "num": 41}},
+    }
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert main(argv + (["--ground"] if command == "spectrum" else [])) == 0
+
+
+def test_certify_loads_no_random_module_and_no_scipy(tmp_path):
+    n = 3
+    doc = {
+        "system": {"n": n, "delta": [0.3] * n, "h": [0.0] * n,
+                   "couplings": [[0, 1, -1.0], [1, 2, -1.0]]},
+        "sweep": {"direction": {"delta": [0.0] * n, "h": [1.0] * n, "couplings": []},
+                  "grid": {"start": -1.0, "stop": 1.0, "num": 21}},
+    }
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from witness_lab.cli import main\n"
+        f"assert main(['certify', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'numpy.random' or m.split('.')[0] == 'scipy']\n"
+        "sys.exit(f'loaded: {loaded}' if loaded else 0)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -17,6 +17,7 @@ from witness_lab import (
     run_sweep,
     sigma_z_profile,
 )
+from witness_lab.spectrum import ground_states
 
 
 def uniform_bias_path(base):
@@ -63,20 +64,17 @@ def chunk_points(n):
 
 
 def per_point_sweep(config, deg_tol=None):
-    """Reference sweep with one ``QubitSystem`` and one ``build_hamiltonian``
-    per grid point, as ``(lam, energies, gap, sz, degenerate)``."""
+    """Reference sweep with one ``QubitSystem``, one ``build_hamiltonian``
+    and one one-point ``ground_states`` call per grid point, as ``(lam,
+    energies, gap, sz, degenerate)``."""
     records = []
     for lam in config.grid:
         system = config.path.at(lam)
-        spec = diagonalize(build_hamiltonian(system))
-        try:
-            sz = sigma_z_profile(ground_state(spec, deg_tol).vector)
-            degenerate = False
-        except DegenerateGroundError:
-            sz = np.full(system.n, np.nan)
-            degenerate = True
-        energies = np.array(spec.energies[: config.track_levels])
-        gap = float(spec.energies[1] - spec.energies[0])
+        (levels,), (ground,) = ground_states(build_hamiltonian(system)[None], deg_tol)
+        degenerate = isinstance(ground, DegenerateGroundError)
+        sz = np.full(system.n, np.nan) if degenerate else sigma_z_profile(ground.vector)
+        energies = np.array(levels[: config.track_levels])
+        gap = float(levels[1] - levels[0])
         records.append((float(lam), energies, gap, sz, degenerate))
     return records
 

@@ -6,7 +6,7 @@ Generation is derandomized, so every run checks the same examples.
 """
 
 import numpy as np
-from conftest import per_cut_w_tilde
+from conftest import crosses, per_cut_w_tilde
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +69,7 @@ def test_n_ab_matches_brute_count(case):
     threshold = 1e-12 * max(1.0, float(np.abs(J).max()))
     expected = [
         sum(
-            cut.crosses(i, j) and abs(J[i, j]) > threshold
+            crosses(cut, i, j) and abs(J[i, j]) > threshold
             for i in range(n)
             for j in range(i + 1, n)
         )
