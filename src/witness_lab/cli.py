@@ -25,15 +25,17 @@ and ``tolerances`` holds defaults that the command-line flags override::
     }
 
 Couplings are upper-triangle ``[i, j, value]`` entries with ``i < j``;
-unknown keys anywhere are rejected. Tolerances are validated once, flags
-over config keys, before any command runs. The ``lambda`` row of ``witness``
-is the exact path response (``witness_lambda``), so ``fd_step`` is accepted
-and validated but has no effect; ``solve_witness_report`` takes the row from
-the report's own ground-state solve when ``lambda0`` leaves the system
-unchanged, so such a ``witness`` op solves the ground state once. Floats are
-printed in their shortest round-trip form, rows end with LF, and identical
-configs produce byte-identical output; a degenerate sweep point leaves its
-``sz_i`` fields empty, so no ``nan`` is printed.
+unknown keys anywhere are rejected. A sweep grid holds at most
+``MAX_GRID_POINTS`` (100000) points, whether given by ``num`` or as
+``values``. Tolerances are validated once, flags over config keys, before
+any command runs. The ``lambda`` row of ``witness`` is the exact path
+response (``witness_lambda``), so ``fd_step`` is accepted and validated but
+has no effect; ``solve_witness_report`` takes the row from the report's own
+ground-state solve when ``lambda0`` leaves the system unchanged, so such a
+``witness`` op solves the ground state once. Floats are printed in their
+shortest round-trip form, rows end with LF, and identical configs produce
+byte-identical output; a degenerate sweep point leaves its ``sz_i`` fields
+empty, so no ``nan`` is printed.
 
 Exit codes: 0 success (certify: entanglement certified), 1 clean negative
 finding (certify: nothing certified), 2 invalid input, 3 degenerate ground
@@ -69,6 +71,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+MAX_GRID_POINTS = 100_000  # sweep grid size cap, so no grid outgrows memory
 
 
 class ConfigError(ValueError):
@@ -149,12 +153,18 @@ def _parse_grid(block: dict, where: str) -> np.ndarray:
         values = block["values"]
         if not isinstance(values, list):
             raise ConfigError(f"{where}.values must be an array")
+        if len(values) > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"{where}.values has {len(values)} entries, more than {MAX_GRID_POINTS}"
+            )
         return np.array([_number(v, f"{where}.values entry") for v in values])
     if set(block) != {"start", "stop", "num"}:
         raise ConfigError(f"{where}: give either values or start/stop/num")
     num = block["num"]
     if not isinstance(num, int) or isinstance(num, bool) or num < 0:
         raise ConfigError(f"{where}.num must be a nonnegative integer")
+    if num > MAX_GRID_POINTS:
+        raise ConfigError(f"{where}.num must be at most {MAX_GRID_POINTS}, got {num}")
     return np.linspace(
         _number(block["start"], f"{where}.start"),
         _number(block["stop"], f"{where}.stop"),

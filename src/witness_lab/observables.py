@@ -17,12 +17,14 @@ a direction, the path response, all from one ground-state solve:
   around one Lanczos ground state, with the dense route as the fallback
   whenever a Krylov solve does not converge.
 
-``ground_response``, ``path_response`` and ``solve_ground_state`` are thin
+``ground_response``, ``path_response`` and ``ground_sz_on_path`` are thin
 wrappers that ask ``_solve`` for one part each; the ``witness`` command asks
 it for ``chi`` and the path response together. Every route passes the
 degeneracy gate of ``spectrum`` first instead of returning a divergent
-number. Central finite differences, an independent check of either route,
-live in the test suite.
+number. ``sigma_z_profile`` takes one state or a stack of them, so a sweep
+computes the ``<sz_i>`` of a whole chunk of grid points in one product.
+Central finite differences, an independent check of either route, live in
+the test suite.
 """
 
 from __future__ import annotations
@@ -58,22 +60,28 @@ def _qubit_count(dim: int) -> int:
     return n
 
 
-def _check_normalized(state: np.ndarray) -> np.ndarray:
+def _check_normalized(state: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``state`` as a float vector, or with ``stack`` a vector or a stack of
+    row vectors, each of unit norm; ``ValueError`` otherwise."""
     state = np.asarray(state, dtype=float)
-    if state.ndim != 1:
+    if state.ndim != 1 and not (stack and state.ndim == 2):
         raise ValueError(f"state must be a vector, got shape {state.shape}")
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    error = np.abs(np.linalg.norm(state, axis=-1) - 1.0)
+    if np.any(error > NORM_TOL):
+        raise ValueError(f"state is not normalized: |norm - 1| = {np.max(error):.3e}")
     return state
 
 
 def sigma_z_profile(state: np.ndarray) -> np.ndarray:
     """``<state|sz_i|state>`` for every qubit ``i`` of a normalized real
-    state vector, one dot product with a row of ``sigma_z_table`` each."""
-    state = _check_normalized(state)
-    signs = sigma_z_table(_qubit_count(state.size))
-    return np.array([float(np.dot(row * state, state)) for row in signs])
+    state vector, shape ``(n,)``, or of each row of a stack of them, shape
+    ``(m, n)``: one batched vector-vector product per row of
+    ``sigma_z_table``, which gives bitwise what ``np.dot`` gives per row."""
+    state = _check_normalized(state, stack=True)
+    signs = sigma_z_table(_qubit_count(state.shape[-1]))
+    V = np.atleast_2d(state)
+    profile = ((signs * V[:, None, :])[..., None, :] @ V[:, None, :, None])[..., 0, 0]
+    return profile if state.ndim == 2 else profile[0]
 
 
 def _unit_direction(direction: QubitSystem) -> tuple[Operator, float]:
@@ -177,14 +185,6 @@ def _solve(
     return spectrum_response(diagonalize(H), deg_tol, direction)
 
 
-def solve_ground_state(
-    system: QubitSystem, deg_tol: float | None = None
-) -> GroundState:
-    """Gated ground state of ``system`` without its excited states, from
-    the route ``_solve`` selects; ``GroundState.route`` records which ran."""
-    return _solve(system, deg_tol, chi=False)[0]
-
-
 def ground_response(
     system: QubitSystem, deg_tol: float | None = None
 ) -> tuple[GroundState, np.ndarray]:
@@ -210,5 +210,6 @@ def path_response(
 def ground_sz_on_path(
     path: AffinePath, lam: float, deg_tol: float | None = None
 ) -> np.ndarray:
-    """Ground-state ``<sz_i>`` profile of the path's system at ``lam``."""
-    return sigma_z_profile(solve_ground_state(path.at(lam), deg_tol).vector)
+    """Ground-state ``<sz_i>`` profile of the path's system at ``lam``, from
+    the gated ground state of the route ``_solve`` selects."""
+    return sigma_z_profile(_solve(path.at(lam), deg_tol, chi=False)[0].vector)

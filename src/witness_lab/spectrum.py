@@ -5,17 +5,20 @@ degeneracy gate every ground-state route passes through.
   susceptibility needs it, because it sums over every excited state.
 * ``eigenvalues`` computes the energies alone, for one matrix or a stack:
   the ``spectrum`` command prints them and takes its gap from them.
-* ``ground_states`` adds the gated ground vector to those energies, for a
-  stack of matrices: sweeps, ``certify`` and every dense solve that needs no
-  susceptibility. No excited eigenvector is computed. Each ground vector
-  comes from shifted inverse iteration and must pass a true-residual check;
-  a point whose solve fails or whose check fails is recomputed on its own by
-  ``diagonalize``, so no unverified vector is returned.
+* ``ground_states`` adds arrays to those energies, for a stack of matrices:
+  the ground vectors and the ``degenerate`` mask of one ``gap_gate`` call
+  over the stack. Sweeps, ``certify`` and every dense solve that needs no
+  susceptibility use it (``dense_ground_state`` is its one-matrix case). No
+  excited eigenvector is computed. Each ground vector comes from shifted
+  inverse iteration and must pass a true-residual check; a point whose solve
+  fails or whose check fails takes its vector, and only its vector, from
+  ``diagonalize``, so no unverified vector is returned and every point is
+  gated once, on the energies it reports.
 
 Routes that need only the ground state, its gap and the susceptibility
 matrix at dimension 1024 and above (the ``witness`` command) use the
 matrix-free Krylov solvers in ``krylov`` instead, and hand their energies to
-the same gate, ``ground_gap``.
+the same gate through ``ground_gap``, its one-spectrum case.
 """
 
 from __future__ import annotations
@@ -133,18 +136,6 @@ def eigenvalues(H: np.ndarray) -> np.ndarray:
     return energies
 
 
-def resolve_degeneracy_tolerance(deg_tol: float | None, width: float) -> float:
-    """Degeneracy tolerance to apply for a spectrum of the given width.
-
-    ``None`` selects the default, 1e-9 of ``max(1, width)``; an explicit
-    value must be positive and finite, so that ``gap <= deg_tol`` is a real
-    test.
-    """
-    if deg_tol is None:
-        return 1e-9 * max(1.0, width)
-    return require_positive_finite("deg_tol", deg_tol)
-
-
 def require_positive_finite(name: str, value: float) -> float:
     """``value`` as a float, or ``ValueError`` unless it is positive and
     finite. The rule for every tolerance and step except ``schmidt_tol``."""
@@ -154,36 +145,54 @@ def require_positive_finite(name: str, value: float) -> float:
     return value
 
 
+def gap_gate(
+    energy: np.ndarray, excited: np.ndarray, top: np.ndarray, deg_tol: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degeneracy gate shared by every ground-state route, for arrays of
+    ``E_0``, ``E_1`` and the highest energy of one or more spectra: the gaps
+    ``E_1 - E_0``, the tolerances applied and the ``degenerate`` mask
+    ``gap <= deg_tol``.
+
+    ``deg_tol=None`` selects 1e-9 of ``max(1, width)`` for each spectrum,
+    its width being ``top - energy``; an explicit value must be positive and
+    finite, so that ``gap <= deg_tol`` is a real test. A degenerate ground
+    manifold has no preferred state, and the entanglement machinery built on
+    a unique ground state does not apply there. Raises ``ValueError``,
+    naming the first such spectrum, when a width overflows, because no gap
+    can be resolved on such a spectrum.
+    """
+    energy, excited, top = (np.asarray(x, dtype=float) for x in (energy, excited, top))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        width = top - energy
+        gap = excited - energy
+    overflow = np.flatnonzero(~np.isfinite(width))
+    if overflow.size:
+        k = overflow[0]
+        raise ValueError(
+            f"spectral width E_max - E_0 = {float(top[k])!r} - {float(energy[k])!r} "
+            "overflows; the coefficients are too large"
+        )
+    if deg_tol is None:
+        tol = 1e-9 * np.maximum(1.0, width)
+    else:
+        tol = np.full(gap.shape, require_positive_finite("deg_tol", deg_tol))
+    return gap, tol, gap <= tol
+
+
 def ground_gap(
     energy: float, excited: float, top: float, deg_tol: float | None
 ) -> float:
-    """The degeneracy gate shared by every ground-state route: the gap
-    ``E_1 - E_0`` as a float.
+    """``gap_gate`` for one spectrum: the gap ``E_1 - E_0`` as a float.
 
-    ``energy``, ``excited`` and ``top`` are ``E_0``, ``E_1`` and the highest
-    energy (the spectral width ``top - energy`` sets the default tolerance).
-    Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol``: a
-    degenerate ground manifold has no preferred state, and the entanglement
-    machinery built on a unique ground state does not apply. Raises
-    ``ValueError`` when the spectral width overflows, because no gap can be
-    resolved on such a spectrum.
+    Raises ``DegenerateGroundError`` when ``E_1 - E_0 <= deg_tol`` and
+    ``ValueError`` when the spectral width overflows.
     """
-    # Python floats: an overflowing difference becomes inf without a numpy
-    # warning and is reported below.
-    energy, excited, top = float(energy), float(excited), float(top)
-    width = top - energy
-    if not math.isfinite(width):
-        raise ValueError(
-            f"spectral width E_max - E_0 = {top!r} - {energy!r} overflows; "
-            "the coefficients are too large"
-        )
-    gap = excited - energy
-    deg_tol = resolve_degeneracy_tolerance(deg_tol, width)
-    if gap <= deg_tol:
+    (gap,), (tol,), (degenerate,) = gap_gate([energy], [excited], [top], deg_tol)
+    if degenerate:
         raise DegenerateGroundError(
-            f"ground gap {gap:.3e} is within degeneracy tolerance {deg_tol:.3e}"
+            f"ground gap {gap:.3e} is within degeneracy tolerance {tol:.3e}"
         )
-    return gap
+    return float(gap)
 
 
 def ground_state(spec: Spectrum, deg_tol: float | None = None) -> GroundState:
@@ -199,11 +208,12 @@ def ground_state(spec: Spectrum, deg_tol: float | None = None) -> GroundState:
     return GroundState(float(energies[0]), spec.states[:, 0], gap=gap, route="dense")
 
 
-def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> list[np.ndarray | None]:
-    """Read-only ground vectors of a stack of matrices with ascending
-    ``energies``; ``None`` for a matrix whose solve raises or whose vector
-    fails the true-residual check of the Lanczos solver, ``|H v - E_0 v| <=
-    TRUE_RESIDUAL_SLACK * EIGEN_RTOL * max(1, |E_0|, |E_max|)``.
+def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground vectors, shape ``(m, dim)``, of a stack of matrices with
+    ascending ``energies``, and the mask of those that pass the true-residual
+    check of the Lanczos solver, ``|H v - E_0 v| <= TRUE_RESIDUAL_SLACK *
+    EIGEN_RTOL * max(1, |E_0|, |E_max|)``; a matrix whose solve raises fails
+    it with a NaN vector.
 
     ``INVERSE_STEPS`` solves with ``H - sigma I``, where ``sigma = E_0 -
     SHIFT_RTOL * max(1, |E_0|, |E_max|)`` sits just below the ground level
@@ -226,60 +236,49 @@ def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> list[np.ndarray |
                 x = x / np.linalg.norm(x, axis=1, keepdims=True)
         except np.linalg.LinAlgError:  # retry point by point: only one may fail
             if m == 1:
-                return [None]
+                return np.full((1, dim), np.nan), np.zeros(1, dtype=bool)
             pieces = [_inverse_iteration(H[k : k + 1], energies[k : k + 1]) for k in range(m)]
-            return [vector for (vector,) in pieces]
+            return tuple(np.concatenate(part) for part in zip(*pieces))
         residual = np.linalg.norm((H @ x[..., None])[..., 0] - energies[:, :1] * x, axis=1)
         verified = residual <= TRUE_RESIDUAL_SLACK * EIGEN_RTOL * scale
         lead = np.argmax(np.abs(x), axis=1)
         x[x[np.arange(m), lead] < 0.0] *= -1.0
-    x.setflags(write=False)
-    return [vector if ok else None for vector, ok in zip(x, verified)]
+    return x, verified
 
 
 def ground_states(
     H: np.ndarray, deg_tol: float | None = None
-) -> tuple[np.ndarray, list[GroundState | DegenerateGroundError]]:
-    """Energies of every matrix in a stack ``(m, dim, dim)`` and its gated
-    ground state, or the ``DegenerateGroundError`` its gate raised.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energies ``(m, dim)``, ground vectors ``(m, dim)`` and the
+    ``degenerate`` mask ``(m,)`` of every matrix in a stack ``(m, dim, dim)``.
 
-    One stacked ``eigenvalues`` call gives every energy and each point
-    passes ``ground_gap``. A nondegenerate point takes its ground vector
-    from ``_inverse_iteration``; where that returns ``None`` the point alone
-    is recomputed by ``ground_state(diagonalize(...))``, so every vector is
-    verified. No excited eigenvector is computed. A matrix gives bitwise the
-    same record alone as in a stack.
+    One stacked ``eigenvalues`` call gives every energy and one ``gap_gate``
+    call gates every point on them. Each nondegenerate point takes its
+    ground vector from ``_inverse_iteration``, or, where that fails its
+    check, from ``diagonalize``; a degenerate point's vector is NaN. No
+    excited eigenvector is computed. The vectors are read-only, and a matrix
+    gives bitwise the same row alone as in a stack.
     """
     H = np.asarray(H, dtype=float)
     energies = eigenvalues(H)
     if H.shape[-1] < 2:
         raise ValueError("spectrum must contain at least two levels")
-    # Each entry is the point's gap or its DegenerateGroundError until the
-    # point's ground state replaces the gap.
-    grounds: list = []
-    for levels in energies:
-        try:
-            grounds.append(ground_gap(levels[0], levels[1], levels[-1], deg_tol))
-        except DegenerateGroundError as exc:
-            grounds.append(exc)
-    live = [k for k, gap in enumerate(grounds) if isinstance(gap, float)]
-    vectors = _inverse_iteration(H[live], energies[live]) if live else []
-    for k, vector in zip(live, vectors):
-        if vector is not None:
-            energy = float(energies[k, 0])
-            grounds[k] = GroundState(energy, vector, gap=grounds[k], route="dense")
-            continue
-        try:
-            grounds[k] = ground_state(diagonalize(H[k]), deg_tol)
-        except DegenerateGroundError as exc:
-            grounds[k] = exc
-    return energies, grounds
+    degenerate = gap_gate(energies[:, 0], energies[:, 1], energies[:, -1], deg_tol)[2]
+    vectors = np.full(energies.shape, np.nan)
+    live = np.flatnonzero(~degenerate)
+    if live.size:
+        vectors[live], verified = _inverse_iteration(H[live], energies[live])
+        for k in live[~verified]:
+            vectors[k] = diagonalize(H[k]).states[:, 0]
+    vectors.setflags(write=False)
+    return energies, vectors, degenerate
 
 
 def dense_ground_state(H: np.ndarray, deg_tol: float | None = None) -> GroundState:
-    """Gated ground state of one matrix by ``ground_states``; raises
-    ``DegenerateGroundError`` as ``ground_state`` does."""
-    ground = ground_states(np.asarray(H, dtype=float)[None], deg_tol)[1][0]
-    if isinstance(ground, DegenerateGroundError):
-        raise ground
-    return ground
+    """Gated ground state of one matrix, the one-matrix case of
+    ``ground_states``; raises ``DegenerateGroundError`` as ``ground_state``
+    does."""
+    (energies,), (vector,), _ = ground_states(np.asarray(H, dtype=float)[None], deg_tol)
+    # The same energies give the same decision; ground_gap adds the message.
+    gap = ground_gap(energies[0], energies[1], energies[-1], deg_tol)
+    return GroundState(float(energies[0]), vector, gap=gap, route="dense")

@@ -4,12 +4,14 @@ A sweep walks an affine coefficient path over a fixed grid, recording the
 lowest energies, the gap, and the ground-state ``<sz_i>`` trajectory at every
 point. It works from the path's coefficient grid (``AffinePath.coefficients``)
 rather than one ``QubitSystem`` per point: Hamiltonians are built a chunk of
-grid points at a time, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, and each
-chunk is solved by one ``spectrum.ground_states`` call: stacked eigenvalues,
-the degeneracy gate per point and a residual-checked ground vector, with no
-excited eigenvectors. A point records energies, gap and ``<sz_i>`` only: no
-witness report and no system per point. Degenerate points are flagged
-rather than failing the sweep. On top of a sweep result:
+grid points at a time, ``SWEEP_CHUNK_BYTES`` of matrices per chunk. Each
+chunk is solved by one ``spectrum.ground_states`` call, which returns arrays:
+stacked eigenvalues, residual-checked ground vectors and the degeneracy mask
+of one gate call, with no excited eigenvectors. The ``<sz_i>`` of all the
+chunk's nondegenerate points come from one ``sigma_z_profile`` product. A
+point records energies, gap and ``<sz_i>`` only: no witness report and no
+system per point. Degenerate points are flagged rather than failing the
+sweep. On top of a sweep result:
 
 * ``detect_anticrossings`` reports interior local minima of the gap, refined
   by a three-point parabolic fit, and
@@ -28,12 +30,7 @@ import numpy as np
 from .model import AffinePath, build_hamiltonians
 from .observables import sigma_z_profile
 from .separability import SCHMIDT_TOL, is_fully_separable, resolve_schmidt_tolerance
-from .spectrum import (
-    DegenerateGroundError,
-    dense_ground_state,
-    ground_states,
-    require_positive_finite,
-)
+from .spectrum import dense_ground_state, ground_states, require_positive_finite
 from .witness import coupled_pairs
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
@@ -105,9 +102,10 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     The path's coefficients and Hamiltonians are built for a chunk of grid
     points at once, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, so no
     ``QubitSystem`` is made per point, and each chunk is solved by one
-    ``ground_states`` call. A point's record is bitwise what
-    ``ground_states`` gives for ``build_hamiltonian(path.at(lam))`` alone. A
-    degenerate point gets ``degenerate=True`` and NaN ``sz``.
+    ``ground_states`` call and one ``sigma_z_profile`` call for all its
+    nondegenerate points. A point's record is bitwise what ``ground_states``
+    and ``sigma_z_profile`` give for ``build_hamiltonian(path.at(lam))``
+    alone. A degenerate point gets ``degenerate=True`` and NaN ``sz``.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
@@ -116,18 +114,13 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     for start in range(0, grid.size, chunk):
         lams = grid[start : start + chunk]
         H = build_hamiltonians(*path.coefficients(lams))
-        for lam, levels, ground in zip(lams, *ground_states(H, deg_tol)):
-            degenerate = isinstance(ground, DegenerateGroundError)
-            sz = np.full(path.n, np.nan) if degenerate else sigma_z_profile(ground.vector)
-            points.append(
-                SweepPoint(
-                    lam=float(lam),
-                    energies=np.array(levels[: config.track_levels]),
-                    gap=float(levels[1] - levels[0]),
-                    sz=sz,
-                    degenerate=degenerate,
-                )
-            )
+        energies, vectors, degenerate = ground_states(H, deg_tol)
+        sz = np.full((lams.size, path.n), np.nan)
+        sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
+        gaps = energies[:, 1] - energies[:, 0]
+        levels = energies[:, : config.track_levels].copy()
+        flags = degenerate.tolist()
+        points += map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags)
     return SweepResult(config=config, points=points)
 
 
@@ -159,17 +152,12 @@ def detect_anticrossings(result: SweepResult) -> list[tuple[float, float]]:
     degenerate = result.degenerate_flags
     if lams.size < 3:
         raise ValueError("anticrossing detection needs at least 3 grid points")
-    found = []
-    for k in range(1, lams.size - 1):
-        if degenerate[k - 1] or degenerate[k] or degenerate[k + 1]:
-            continue
-        if gaps[k] < gaps[k - 1] and gaps[k] < gaps[k + 1]:
-            found.append(
-                _parabolic_vertex(
-                    lams[k - 1], gaps[k - 1], lams[k], gaps[k], lams[k + 1], gaps[k + 1]
-                )
-            )
-    return found
+    clean = ~(degenerate[:-2] | degenerate[1:-1] | degenerate[2:])
+    minima = clean & (gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] < gaps[2:])
+    return [
+        _parabolic_vertex(lams[k - 1], gaps[k - 1], lams[k], gaps[k], lams[k + 1], gaps[k + 1])
+        for k in np.flatnonzero(minima) + 1
+    ]
 
 
 @dataclass(frozen=True, eq=False)

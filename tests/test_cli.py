@@ -11,7 +11,8 @@ from witness_lab import (
     diagonalize,
     witness_report,
 )
-from witness_lab.cli import load_config, main
+import witness_lab.cli as cli
+from witness_lab.cli import MAX_GRID_POINTS, load_config, main, parse_config
 from witness_lab.spectrum import eigenvalues
 
 
@@ -193,6 +194,34 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "sweep", "--config", write_config(tmp_path, doc))
         assert code == 2
         assert "num must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+    def test_oversized_grid_exits_2_before_allocating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", no_linspace)
+        for num in (MAX_GRID_POINTS + 1, 10**12):
+            grid = {"start": -1.0, "stop": 1.0, "num": num}
+            doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": grid}}
+            code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+            assert (code, out) == (2, "")
+            assert err == f"config error: sweep.grid.num must be at most 100000, got {num}\n"
+        grid = {"values": [0.0] * (MAX_GRID_POINTS + 1)}
+        doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": grid}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert "sweep.grid.values has 100001 entries, more than 100000" in err
+
+    def test_grid_of_the_cap_size_is_accepted(self):
+        for grid in (
+            {"values": [0.0] * MAX_GRID_POINTS},
+            {"start": -1.0, "stop": 1.0, "num": MAX_GRID_POINTS},
+        ):
+            doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": grid}}
+            assert parse_config(doc).grid.size == MAX_GRID_POINTS
 
     def test_sweep_command_requires_sweep_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PINNED)

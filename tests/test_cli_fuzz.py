@@ -4,7 +4,8 @@ Every document gets one of the documented exit codes, 0 to 3, and no
 traceback: an uncaught exception (including a numpy ``RuntimeWarning``, which
 the test configuration turns into an error) fails the example. Documents
 stay small, at most 4 qubits and 5 grid points, so no example allocates more
-than a few MB. Generation is derandomized, so every run checks the same
+than a few MB; an oversized ``grid.num`` must be refused before its grid is
+built. Generation is derandomized, so every run checks the same
 examples.
 """
 
@@ -14,10 +15,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from witness_lab.cli import main, parse_config
+from witness_lab.cli import MAX_GRID_POINTS, main, parse_config
 from witness_lab.witness import _shared_direction
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -196,3 +198,34 @@ def test_every_lambda_row_gets_a_documented_exit_code(doc):
     event(f"{route}, exit {code}")
     if code == 0:
         assert "\nlambda,,," in out
+
+
+# Tolerance flag values: not a number, infinite, zero or negative (invalid),
+# subnormal or huge (valid, and must not overflow or divide by zero later).
+flag_values = (
+    st.sampled_from(["nan", "inf", "-inf", "-1.0", "-0.0", "0"])
+    | st.sampled_from(["5e-324", "1e-310", "1e-9", "0.5", "1e308", "1.7e308"])
+    | st.floats(5e-324, 1.7e308).map(repr)
+    | st.floats().map(repr)
+)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+@settings(FUZZ, max_examples=75)
+@given(
+    doc=valid_documents(),
+    flags=st.dictionaries(
+        st.sampled_from(["--deg-tol", "--var-tol", "--fd-step"]), flag_values, min_size=1
+    ),
+    num=st.none() | st.sampled_from([MAX_GRID_POINTS + 1, 10**12, 2**63, 10**30]),
+)
+def test_every_tolerance_flag_gets_a_documented_exit_code(command, doc, flags, num):
+    # "--flag=value", so argparse takes "-inf" as a value, not an option.
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    oversized = num is not None and "sweep" in doc
+    if oversized:
+        doc["sweep"]["grid"] = {"start": -1.0, "stop": 1.0, "num": num}
+    code, _ = _run(argv, doc)
+    if oversized:
+        assert code == 2
+    event(f"exit {code}" + (", oversized grid" if oversized else ""))

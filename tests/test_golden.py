@@ -1,0 +1,75 @@
+"""Every command's stdout, stderr and exit code on small fixed configs,
+byte for byte against the files checked in under ``tests/golden``.
+
+The expected files hold the output of the numpy build they were generated
+with; the last digits of a float may differ under another BLAS or LAPACK.
+After a deliberate output change, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from witness_lab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# case -> (command and flags, config file under tests/golden)
+CASES = {
+    "spectrum_ground": (["spectrum", "--ground"], "triangle.json"),
+    "spectrum_ground_degenerate": (["spectrum", "--ground"], "classical_pair.json"),
+    "witness_lambda_shared": (["witness"], "witness_lambda_shared.json"),
+    "witness_lambda_second": (["witness"], "witness_lambda_second.json"),
+    "witness_krylov_n10": (["witness"], "krylov_chain_n10.json"),
+    "sweep_degenerate_end": (["sweep"], "degenerate_end_sweep.json"),
+    "sweep_chain_n6": (["sweep"], "chain_n6_sweep.json"),
+    "certify_fm_pair": (["certify"], "fm_pair.json"),
+    "certify_uncoupled_pair": (["certify"], "uncoupled_pair.json"),
+    "certify_classical_pair": (["certify"], "classical_pair.json"),
+}
+
+
+def run_case(case: str) -> tuple[int, str, str]:
+    argv, config = CASES[case]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", str(GOLDEN / config)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def expected_exit_codes() -> dict:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden_files(case):
+    code, out, err = run_case(case)
+    assert code == expected_exit_codes()[case]
+    assert out == (GOLDEN / f"{case}.stdout").read_text()
+    assert err == (GOLDEN / f"{case}.stderr").read_text()
+
+
+def test_cases_cover_every_exit_code_of_certify():
+    codes = expected_exit_codes()
+    assert sorted(codes[c] for c in CASES if c.startswith("certify")) == [0, 1, 3]
+
+
+def regenerate() -> None:
+    codes = {}
+    for case in sorted(CASES):
+        codes[case], out, err = run_case(case)
+        (GOLDEN / f"{case}.stdout").write_text(out)
+        (GOLDEN / f"{case}.stderr").write_text(err)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -31,7 +31,7 @@ from witness_lab import (
 )
 from witness_lab.cli import main
 from witness_lab.model import hamiltonian_diagonal
-from witness_lab.observables import path_response, solve_ground_state
+from witness_lab.observables import path_response
 
 
 def random_all_to_all(n, seed):
@@ -129,10 +129,24 @@ def test_random_all_to_all_agrees_with_dense(n, seed):
     assert abs(report.w_global - dense.w_global) <= 1e-10
 
 
-def test_route_follows_dimension():
+def test_route_follows_dimension(monkeypatch):
     assert ground_response(random_all_to_all(9, 9))[0].route == "dense"
-    assert solve_ground_state(random_all_to_all(9, 9)).route == "dense"
-    assert solve_ground_state(random_all_to_all(10, 9)).route == "krylov"
+    # ground_sz_on_path asks _solve for the ground state alone.
+    routes = []
+    solve = observables._solve
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        routes.append(result[0].route)
+        return result
+
+    monkeypatch.setattr(observables, "_solve", recording)
+    for n in (9, 10):
+        zero = QubitSystem(delta=np.zeros(n), h=np.zeros(n), J=np.zeros((n, n)))
+        path = AffinePath(base=random_all_to_all(n, 9), direction=zero)
+        sz = ground_sz_on_path(path, 0.0)
+        assert sz.shape == (n,) and np.abs(sz).max() <= 1.0
+    assert routes == ["dense", "krylov"]
 
 
 def test_zero_tunneling_qubit_gives_zero_response_column():

@@ -21,6 +21,7 @@ from witness_lab import (
     diagonalize,
     sigma_z_profile,
 )
+from witness_lab.model import sigma_z_table
 from witness_lab.observables import path_response
 
 
@@ -75,6 +76,27 @@ class TestSigmaZExpectation:
         for i in range(3):
             assert profile[i] == sigma_z_expectation(vec, i)
             assert -1.0 - 1e-12 <= profile[i] <= 1.0 + 1e-12
+
+
+    def test_stack_matches_per_row_dot_bitwise(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 9):
+            V = rng.normal(size=(11, 1 << n))
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            signs = sigma_z_table(n)
+            expected = np.array([[float(np.dot(row * v, v)) for row in signs] for v in V])
+            profile = sigma_z_profile(V)
+            assert profile.shape == (11, n)
+            assert profile.tobytes() == expected.tobytes()
+            assert sigma_z_profile(V[4]).tobytes() == expected[4].tobytes()
+
+    def test_stack_rejects_any_unnormalized_row(self):
+        V = np.eye(4)
+        V[2] *= 1.5
+        with pytest.raises(ValueError, match="normalized: .* = 5.000e-01"):
+            sigma_z_profile(V)
+        with pytest.raises(ValueError, match="vector"):
+            sigma_z_profile(np.ones((1, 1, 2)))
 
 
 class TestSumOverStates:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -20,8 +21,9 @@ from witness_lab import (
 from witness_lab.spectrum import (
     dense_ground_state,
     eigenvalues,
+    gap_gate,
+    ground_gap,
     ground_states,
-    resolve_degeneracy_tolerance,
 )
 
 
@@ -117,7 +119,7 @@ class TestGroundState:
     def test_degeneracy_tolerance_is_scale_free(self):
         spec = diagonalize(np.diag([0.0, 3e-9, 10.0]))
         # width 10 -> tolerance 1e-8 swallows the 3e-9 gap
-        assert resolve_degeneracy_tolerance(None, 10.0) == 1e-8
+        assert gap_gate([0.0], [3e-9], [10.0], None)[1].tolist() == [1e-8]
         with pytest.raises(DegenerateGroundError):
             ground_state(spec)
         # an explicit tighter tolerance accepts it
@@ -128,6 +130,29 @@ class TestGroundState:
         spec = diagonalize(np.diag([0.0, 1.0]))
         with pytest.raises(ValueError):
             ground_state(spec, deg_tol=0.0)
+
+    @pytest.mark.parametrize("deg_tol", [None, 1e-3])
+    def test_array_gate_rows_match_ground_gap(self, deg_tol):
+        energy = np.array([0.0, -1.0, 2.0, 5.0, -3.0])
+        excited = energy + np.array([0.0, 1e-12, 2e-3, 0.5e-3, 1.0])
+        top = energy + np.array([1.0, 4.0, 1e7, 2.0, 3.0])
+        gaps, tols, degenerate = gap_gate(energy, excited, top, deg_tol)
+        assert tols.shape == gaps.shape == degenerate.shape == (5,)
+        for k in range(5):
+            if degenerate[k]:
+                message = f"ground gap {gaps[k]:.3e} is within degeneracy tolerance {tols[k]:.3e}"
+                with pytest.raises(DegenerateGroundError, match=re.escape(message)):
+                    ground_gap(energy[k], excited[k], top[k], deg_tol)
+            else:
+                assert ground_gap(energy[k], excited[k], top[k], deg_tol) == gaps[k]
+        expected = [True, True, deg_tol is None, deg_tol is not None, False]
+        assert degenerate.tolist() == expected
+
+    def test_array_gate_names_the_first_overflowing_spectrum(self):
+        energy = np.array([0.0, -1.5e308, -1.7e308])
+        top = np.array([1.0, 1.5e308, 1.7e308])
+        with pytest.raises(ValueError, match=r"= 1\.5e\+308 - -1\.5e\+308 overflows"):
+            gap_gate(energy, energy + 0.5, top, None)
 
 
 def random_path_hamiltonians(rng, n, points):
@@ -161,30 +186,28 @@ def count_diagonalize(monkeypatch):
     return calls
 
 
-def assert_same_ground(a, b):
-    assert a.energy == b.energy and a.gap == b.gap and a.route == b.route
-    assert a.vector.tobytes() == b.vector.tobytes()
-
-
 class TestGroundStates:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_agrees_with_diagonalize_on_random_paths(self, n, count_diagonalize):
         rng = np.random.default_rng(100 + n)
         H = random_path_hamiltonians(rng, n, 9 if n <= 7 else 3)
-        energies, grounds = ground_states(H)
-        for k, ground in enumerate(grounds):
+        energies, vectors, degenerate = ground_states(H)
+        assert vectors.shape == energies.shape == H.shape[:2]
+        assert degenerate.shape == (len(H),) and degenerate.dtype == bool
+        for k in range(len(H)):
             spec = diagonalize(H[k])
             scale = max(1.0, np.abs(spec.energies).max())
             assert np.abs(energies[k] - spec.energies).max() <= 1e-12 * scale
             try:
                 reference = ground_state(spec)
             except DegenerateGroundError:
-                assert isinstance(ground, DegenerateGroundError)
+                assert degenerate[k] and np.isnan(vectors[k]).all()
                 continue
-            sz = sigma_z_profile(ground.vector)
+            assert not degenerate[k]
+            sz = sigma_z_profile(vectors[k])
             assert np.abs(sz - sigma_z_profile(reference.vector)).max() <= 1e-10
-            assert ground.route == "dense"
-            assert abs(ground.gap - reference.gap) <= 1e-12 * scale
+            gap = energies[k, 1] - energies[k, 0]
+            assert abs(gap - reference.gap) <= 1e-12 * scale
         assert not count_diagonalize
 
     def test_degenerate_flags_match_diagonalize(self, count_diagonalize):
@@ -197,15 +220,13 @@ class TestGroundStates:
             direction = QubitSystem(delta=np.zeros(n), h=np.ones(n), J=np.zeros((n, n)))
             path = AffinePath(base=base, direction=direction)
             H = build_hamiltonians(*path.coefficients(np.linspace(-1.0, 1.0, 5)))
-            _, grounds = ground_states(H)
-            flags = [isinstance(g, DegenerateGroundError) for g in grounds]
-            assert flags == [False, False, True, False, False]
-            for k, ground in enumerate(grounds):
-                if flags[k]:
-                    with pytest.raises(DegenerateGroundError):
-                        ground_state(diagonalize(H[k]))
-                    with pytest.raises(DegenerateGroundError):
-                        dense_ground_state(H[k])
+            _, vectors, degenerate = ground_states(H)
+            assert degenerate.tolist() == [False, False, True, False, False]
+            assert np.isnan(vectors[2]).all() and np.isfinite(vectors[[0, 1, 3, 4]]).all()
+            with pytest.raises(DegenerateGroundError):
+                ground_state(diagonalize(H[2]))
+            with pytest.raises(DegenerateGroundError):
+                dense_ground_state(H[2])
         assert not count_diagonalize
 
     def test_biased_classical_chain_needs_no_fallback(self, count_diagonalize):
@@ -216,31 +237,68 @@ class TestGroundStates:
         path = AffinePath(base=base, direction=direction)
         H = build_hamiltonians(*path.coefficients(np.linspace(0.5, 2.0, 16)))
         assert all(np.count_nonzero(M - np.diag(np.diag(M))) == 0 for M in H)
-        energies, grounds = ground_states(H)
+        energies, vectors, degenerate = ground_states(H)
         assert not count_diagonalize
-        for k, ground in enumerate(grounds):
+        assert not degenerate.any()
+        assert np.abs(sigma_z_profile(vectors) - 1.0).max() <= 1e-10
+        for k, vector in enumerate(vectors):
             reference = ground_state(diagonalize(H[k]))
             assert energies[k].tobytes() == np.sort(np.diag(H[k])).tobytes()
-            assert np.abs(sigma_z_profile(ground.vector) - 1.0).max() <= 1e-10
-            assert np.abs(ground.vector - reference.vector).max() <= 1e-12
+            assert np.abs(vector - reference.vector).max() <= 1e-12
 
     def test_one_point_calls_equal_the_stack(self):
         rng = np.random.default_rng(7)
         H = random_path_hamiltonians(rng, 5, 7)
-        energies, grounds = ground_states(H)
-        for k, ground in enumerate(grounds):
-            (levels,), (alone,) = ground_states(H[k : k + 1])
+        energies, vectors, degenerate = ground_states(H)
+        for k in range(len(H)):
+            (levels,), (vector,), (flag,) = ground_states(H[k : k + 1])
             assert levels.tobytes() == energies[k].tobytes()
-            assert_same_ground(alone, ground)
-            assert_same_ground(dense_ground_state(H[k]), ground)
+            assert vector.tobytes() == vectors[k].tobytes() and flag == degenerate[k]
+            ground = dense_ground_state(H[k])
+            assert ground.energy == energies[k, 0] and ground.route == "dense"
+            assert ground.gap == energies[k, 1] - energies[k, 0]
+            assert ground.vector.tobytes() == vectors[k].tobytes()
 
     def test_sign_convention_and_read_only(self):
         rng = np.random.default_rng(8)
-        _, grounds = ground_states(random_path_hamiltonians(rng, 4, 5))
-        for ground in grounds:
-            lead = np.argmax(np.abs(ground.vector))
-            assert ground.vector[lead] > 0.0
-            assert not ground.vector.flags.writeable
+        H = random_path_hamiltonians(rng, 4, 5)
+        _, vectors, _ = ground_states(H)
+        assert not vectors.flags.writeable
+        assert not dense_ground_state(H[0]).vector.flags.writeable
+        for vector in vectors:
+            lead = np.argmax(np.abs(vector))
+            assert vector[lead] > 0.0
+
+    def test_builds_no_object_per_point(self, monkeypatch):
+        # Degenerate and nondegenerate points alike: the gate is one array
+        # call, so neither a GroundState nor an exception is made per point.
+        made = []
+
+        class CountingError(DegenerateGroundError):
+            def __init__(self, *args):
+                made.append("error")
+                super().__init__(*args)
+
+        def counting_ground_state(*args, **kwargs):
+            made.append("ground")
+            return original(*args, **kwargs)
+
+        original = spectrum_module.GroundState
+        monkeypatch.setattr(spectrum_module, "GroundState", counting_ground_state)
+        monkeypatch.setattr(spectrum_module, "DegenerateGroundError", CountingError)
+        n = 4
+        J = np.diag(np.full(n - 1, -1.0), 1)
+        base = QubitSystem(delta=np.zeros(n), h=np.zeros(n), J=J + J.T)
+        direction = QubitSystem(delta=np.full(n, 0.2), h=np.ones(n), J=np.zeros((n, n)))
+        path = AffinePath(base=base, direction=direction)
+        H = build_hamiltonians(*path.coefficients(np.linspace(-1.0, 1.0, 9)))
+        _, _, degenerate = ground_states(H)
+        assert degenerate.tolist() == [False] * 4 + [True] + [False] * 4
+        assert made == []
+        with pytest.raises(CountingError):
+            dense_ground_state(H[4])
+        dense_ground_state(H[0])
+        assert made == ["error", "ground"]
 
     @pytest.mark.parametrize("failure", ["solve raises", "residual fails"])
     def test_forced_fallback_recomputes_that_point_only(
@@ -248,7 +306,7 @@ class TestGroundStates:
     ):
         rng = np.random.default_rng(9)
         H = random_path_hamiltonians(rng, 4, 6)
-        expected_energies, expected = ground_states(H)
+        expected_energies, expected_vectors, expected_flags = ground_states(H)
         target = 2
         off_diagonal = H[target] - np.diag(np.diag(H[target]))
         solve = np.linalg.solve
@@ -265,14 +323,22 @@ class TestGroundStates:
             return x
 
         monkeypatch.setattr(spectrum_module.np.linalg, "solve", failing_solve)
-        energies, grounds = ground_states(H)
+        energies, vectors, degenerate = ground_states(H)
         assert [M.tobytes() for M in count_diagonalize] == [H[target].tobytes()]
+        # Energies and flags come from the stacked eigenvalues alone; the
+        # target's vector is bitwise diagonalize's.
         assert energies.tobytes() == expected_energies.tobytes()
-        for k, ground in enumerate(grounds):
+        assert degenerate.tobytes() == expected_flags.tobytes()
+        for k, vector in enumerate(vectors):
             if k == target:
-                assert_same_ground(ground, ground_state(diagonalize(H[k])))
+                assert vector.tobytes() == diagonalize(H[k]).states[:, 0].tobytes()
             else:
-                assert_same_ground(ground, expected[k])
+                assert vector.tobytes() == expected_vectors[k].tobytes()
+        ground = dense_ground_state(H[target])
+        assert len(count_diagonalize) == 2
+        assert ground.energy == energies[target, 0]
+        assert ground.gap == energies[target, 1] - energies[target, 0]
+        assert ground.vector.tobytes() == vectors[target].tobytes()
 
     def test_validation_matches_diagonalize(self):
         bad = [

@@ -4,7 +4,6 @@ import pytest
 import witness_lab.sweep as sweep_module
 from witness_lab import (
     AffinePath,
-    DegenerateGroundError,
     QubitSystem,
     SweepConfig,
     SweepResult,
@@ -70,9 +69,9 @@ def per_point_sweep(config, deg_tol=None):
     records = []
     for lam in config.grid:
         system = config.path.at(lam)
-        (levels,), (ground,) = ground_states(build_hamiltonian(system)[None], deg_tol)
-        degenerate = isinstance(ground, DegenerateGroundError)
-        sz = np.full(system.n, np.nan) if degenerate else sigma_z_profile(ground.vector)
+        H = build_hamiltonian(system)[None]
+        (levels,), (vector,), (degenerate,) = ground_states(H, deg_tol)
+        sz = np.full(system.n, np.nan) if degenerate else sigma_z_profile(vector)
         energies = np.array(levels[: config.track_levels])
         gap = float(levels[1] - levels[0])
         records.append((float(lam), energies, gap, sz, degenerate))
@@ -171,6 +170,22 @@ class TestRunSweep:
         report = certify_entanglement_on_path(run_sweep(config))
         assert report.certified_pairs and report.oracle_confirmation is not None
         assert calls == []
+
+    def test_sz_computed_once_per_chunk(self, monkeypatch):
+        calls = []
+        original = sweep_module.sigma_z_profile
+
+        def counting(states):
+            calls.append(states.shape)
+            return original(states)
+
+        monkeypatch.setattr(sweep_module, "sigma_z_profile", counting)
+        n = 6
+        size = 2 * chunk_points(n) + 3
+        config = SweepConfig(path=fm_chain_path(n), grid=np.linspace(-1.0, 1.0, size))
+        result = run_sweep(config)
+        assert len(result.points) == size
+        assert calls == [(chunk_points(n), 1 << n)] * 2 + [(3, 1 << n)]
 
     def test_gap_continuity_on_smooth_path(self):
         config = SweepConfig(path=single_qubit_path(0.5), grid=np.linspace(-1, 1, 101))
