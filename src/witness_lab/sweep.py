@@ -11,7 +11,18 @@ of one gate call, with no excited eigenvectors. The ``<sz_i>`` of all the
 chunk's nondegenerate points come from one ``sigma_z_profile`` product. A
 point records energies, gap and ``<sz_i>`` only: no witness report and no
 system per point. Degenerate points are flagged rather than failing the
-sweep. On top of a sweep result:
+sweep.
+
+Up to dimension ``PARALLEL_MAX_DIM`` (64, n <= 6) the chunks are solved on
+every usable CPU: the calling thread and one helper thread per further CPU
+take the chunks by stride. A chunk's solve is almost all LAPACK, which runs
+with the GIL released, so the threads overlap. The calling thread drains the
+solved chunks in grid order: it makes every ``sigma_z_profile`` call and
+every record, frees each chunk's vectors once recorded, and raises the
+exception of the first failing chunk, so the result and any error are
+bitwise those of one thread. From dimension 128 on, OpenBLAS's own threads
+collide with the helpers and a threaded sweep measured slower (n = 7..9),
+so those sweeps run on the calling thread alone. On top of a sweep result:
 
 * ``detect_anticrossings`` reports interior local minima of the gap, refined
   by a three-point parabolic fit, and
@@ -23,6 +34,8 @@ sweep. On top of a sweep result:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +48,9 @@ from .witness import coupled_pairs
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
 SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at n >= 8
+# Largest dimension whose chunks are split across threads. From 128 on,
+# OpenBLAS's own threads collide with the helper threads and a sweep slows.
+PARALLEL_MAX_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +112,14 @@ class SweepResult:
         return np.array([p.degenerate for p in self.points])
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     """Evaluate the sweep over its grid, in grid order.
 
@@ -106,21 +130,72 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     nondegenerate points. A point's record is bitwise what ``ground_states``
     and ``sigma_z_profile`` give for ``build_hamiltonian(path.at(lam))``
     alone. A degenerate point gets ``degenerate=True`` and NaN ``sz``.
+
+    Up to dimension ``PARALLEL_MAX_DIM`` the chunks are solved by ``W``
+    threads, one per usable CPU but no more than there are chunks: the
+    calling thread solves chunks ``k`` with ``k % W == 0`` and helper
+    threads the others. The calling thread takes the solved chunks in grid
+    order and makes every ``sigma_z_profile`` call, so the records and the
+    exception raised (that of the first failing chunk) are those of a
+    one-thread run. Helpers are joined before this returns or raises.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
     chunk = max(1, SWEEP_CHUNK_BYTES // (8 * dim * dim))
+    starts = range(0, grid.size, chunk)
+    workers = 1 if dim > PARALLEL_MAX_DIM else min(len(starts), _usable_cpus())
+
+    def solve(k):
+        lams = grid[starts[k] : starts[k] + chunk]
+        return ground_states(build_hamiltonians(*path.coefficients(lams)), deg_tol)
+
+    solved = [None] * len(starts)  # a helper's result or exception, until taken
+    ready = threading.Condition()
+    stop = threading.Event()
+
+    def helper(first):
+        for k in range(first, len(starts), workers):
+            if stop.is_set():
+                return
+            try:
+                result = solve(k)
+            except Exception as exc:  # raised by the calling thread, in grid order
+                result = exc
+            with ready:
+                solved[k] = result
+                ready.notify()
+            if isinstance(result, Exception):
+                return
+
+    helpers = []
     points = []
-    for start in range(0, grid.size, chunk):
-        lams = grid[start : start + chunk]
-        H = build_hamiltonians(*path.coefficients(lams))
-        energies, vectors, degenerate = ground_states(H, deg_tol)
-        sz = np.full((lams.size, path.n), np.nan)
-        sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
-        gaps = energies[:, 1] - energies[:, 0]
-        levels = energies[:, : config.track_levels].copy()
-        flags = degenerate.tolist()
-        points += map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags)
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=helper, args=(first,))
+            thread.start()
+            helpers.append(thread)
+        for k, start in enumerate(starts):
+            if k % workers == 0:
+                result = solve(k)
+            else:
+                with ready:
+                    while solved[k] is None:
+                        ready.wait()
+                result, solved[k] = solved[k], None
+                if isinstance(result, Exception):
+                    raise result
+            energies, vectors, degenerate = result
+            lams = grid[start : start + chunk]
+            sz = np.full((lams.size, path.n), np.nan)
+            sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
+            gaps = energies[:, 1] - energies[:, 0]
+            levels = energies[:, : config.track_levels].copy()
+            flags = degenerate.tolist()
+            points += map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags)
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
     return SweepResult(config=config, points=points)
 
 

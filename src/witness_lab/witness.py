@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +140,11 @@ def witness_ab(
     return w_ab[()]
 
 
-@dataclass(frozen=True, eq=False)
-class CutWitness:
+class CutWitness(NamedTuple):
+    """One cut's witness. A named tuple, not a frozen dataclass: a report
+    holds one per cut (1023 at n = 11), and a tuple is built about 3x
+    faster."""
+
     partition: Bipartition
     w_tilde: float
     n_ab: int
@@ -200,12 +204,7 @@ def _report(
     for p in np.flatnonzero(coupled_pairs(system.J)[i, j]):
         w_tilde[table[:, p]] += system.J[i[p], j[p]] * chi[i[p], j[p]]
     w_ab = witness_ab(w_tilde, n_ab)
-    cuts = [
-        CutWitness(partition=partition, w_tilde=tilde, n_ab=count, w_ab=value)
-        for partition, tilde, count, value in zip(
-            partitions, w_tilde.tolist(), n_ab.tolist(), w_ab.tolist()
-        )
-    ]
+    cuts = list(map(CutWitness, partitions, w_tilde.tolist(), n_ab.tolist(), w_ab.tolist()))
     return WitnessReport(
         cuts=cuts, w_lambda=w_lambda, w_global=_global_witness(w_tilde, n_ab)
     )

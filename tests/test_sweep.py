@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from witness_lab import (
     SweepConfig,
     SweepResult,
     build_hamiltonian,
+    build_hamiltonians,
     certify_entanglement_on_path,
     detect_anticrossings,
     diagonalize,
@@ -243,6 +249,164 @@ class TestChunkedSweepMatchesPerPoint:
         )
         with pytest.raises(ValueError, match="not finite"):
             run_sweep(config)
+
+
+def pin_workers(monkeypatch, workers):
+    """Make ``run_sweep`` see ``workers`` usable CPUs."""
+    monkeypatch.setattr(sweep_module, "_usable_cpus", lambda: workers)
+
+
+def record_thread_starts(monkeypatch):
+    """List that collects every ``threading.Thread`` started from now on."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+def slow_calling_thread(monkeypatch):
+    """Delay each chunk the calling thread solves, so helpers run ahead and
+    their chunks finish, or fail, first."""
+    caller = threading.current_thread()
+    original = sweep_module.ground_states
+
+    def delayed(*args):
+        if threading.current_thread() is caller:
+            time.sleep(0.02)
+        return original(*args)
+
+    monkeypatch.setattr(sweep_module, "ground_states", delayed)
+
+
+def sweep_records(config):
+    """Every ``SweepPoint`` field as bytes, for bitwise comparison."""
+    return [
+        (
+            np.float64(p.lam).tobytes(),
+            p.energies.tobytes(),
+            np.float64(p.gap).tobytes(),
+            p.sz.tobytes(),  # NaN payloads included
+            p.degenerate,
+        )
+        for p in run_sweep(config).points
+    ]
+
+
+def overflowing_path(n):
+    """Path whose ``h_0`` is ``lambda * 1e308``: from ``|lambda|`` near 0.9
+    the spectral width overflows, and from 1.8 the coefficient itself, so
+    failing chunks name different lambdas or different causes."""
+    zero = QubitSystem(delta=np.full(n, 0.5), h=np.zeros(n), J=np.zeros((n, n)))
+    h = np.zeros(n)
+    h[0] = 1e308
+    direction = QubitSystem(delta=np.zeros(n), h=h, J=np.zeros((n, n)))
+    return AffinePath(base=zero, direction=direction)
+
+
+def chunk_errors(config):
+    """Message of each chunk that fails when solved on its own, in grid
+    order."""
+    size = chunk_points(config.path.n)
+    messages = []
+    for start in range(0, config.grid.size, size):
+        try:
+            coefficients = config.path.coefficients(config.grid[start : start + size])
+            ground_states(build_hamiltonians(*coefficients))
+        except ValueError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+class TestThreadedSweep:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["random", "classical chain"])
+    def test_threads_give_the_one_worker_records(self, monkeypatch, n, kind):
+        rng = np.random.default_rng(90 + n)
+        size = 3 * chunk_points(n) + 3  # a short last chunk
+        grid = np.linspace(-1.0, 1.0, size)
+        if kind == "random":
+            path = random_path(rng, n)
+        else:
+            # all-up and all-down tie at lambda = 0: a degenerate point
+            grid[size // 2] = 0.0
+            path = fm_chain_path(n, delta=0.0)
+        config = SweepConfig(path=path, grid=grid)
+        pin_workers(monkeypatch, 1)
+        serial = sweep_records(config)
+        assert (kind == "classical chain") == any(record[4] for record in serial)
+        for workers in (2, 3):
+            pin_workers(monkeypatch, workers)
+            started = record_thread_starts(monkeypatch)
+            assert sweep_records(config) == serial
+            assert len(started) == workers - 1
+            assert not any(thread.is_alive() for thread in started)
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # Short switch interval: the calling thread and the helpers hand
+        # chunks over as often as possible. A lost or misplaced chunk
+        # changes the records.
+        path = random_path(np.random.default_rng(3), 5)
+        config = SweepConfig(path=path, grid=np.linspace(-2, 2, 1001))
+        pin_workers(monkeypatch, 1)
+        serial = sweep_records(config)
+        pin_workers(monkeypatch, 4 * (os.cpu_count() or 1))
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: outcome.append(sweep_records(config)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome == [serial]
+
+    @pytest.mark.parametrize(
+        "lo, hi, num",
+        [
+            (-2.0, 2.0, 41),  # chunks 0, 1, 3, 4 and 5 fail
+            (0.5, 2.5, 41),  # chunks 1 to 5 fail
+            (-0.5, 2.0, 41),  # chunks 2 to 5 fail
+        ],
+    )
+    @pytest.mark.parametrize("slow_caller", [False, True])
+    def test_first_failing_chunk_raises_serial_message(
+        self, monkeypatch, capfd, lo, hi, num, slow_caller
+    ):
+        config = SweepConfig(path=overflowing_path(6), grid=np.linspace(lo, hi, num))
+        messages = chunk_errors(config)
+        assert len(set(messages)) >= 2
+        if slow_caller:
+            slow_calling_thread(monkeypatch)
+        pin_workers(monkeypatch, 1)
+        with pytest.raises(ValueError) as serial:
+            run_sweep(config)
+        assert str(serial.value) == messages[0]
+        for workers in (2, 3):
+            pin_workers(monkeypatch, workers)
+            started = record_thread_starts(monkeypatch)
+            with pytest.raises(ValueError) as threaded:
+                run_sweep(config)
+            assert str(threaded.value) == messages[0]
+            assert len(started) == workers - 1
+            assert not any(thread.is_alive() for thread in started)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_no_thread_above_parallel_dimension(self, monkeypatch, n):
+        assert 1 << n > sweep_module.PARALLEL_MAX_DIM
+        config = SweepConfig(path=fm_chain_path(n), grid=np.linspace(-1.0, 1.0, 5))
+        pin_workers(monkeypatch, 4)
+        started = record_thread_starts(monkeypatch)
+        result = run_sweep(config)
+        assert len(result.points) == 5
+        assert started == []
 
 
 class TestDetectAnticrossings:
