@@ -4,7 +4,7 @@ Four subcommands share one config format::
 
     witness-lab spectrum|witness|sweep|certify --config run.json
                 [--out results.csv] [--levels K]
-                [--deg-tol X] [--var-tol X] [--fd-step X]
+                [--deg-tol X] [--var-tol X]
 
 The config is a single JSON document. The ``system`` block is mandatory;
 ``sweep`` (path direction plus grid) feeds the sweep and certify commands,
@@ -29,16 +29,16 @@ unknown keys anywhere are rejected. A sweep grid holds at most
 ``MAX_GRID_POINTS`` (100000) points, whether given by ``num`` or as
 ``values``. Tolerances are validated once, flags over config keys, before
 any command runs. The ``lambda`` row of ``witness`` is the exact path
-response (``witness_lambda``), so ``fd_step`` is accepted and validated but
-has no effect; ``solve_witness_report`` takes the row from the report's own
-ground-state solve when ``lambda0`` leaves the system unchanged, so such a
-``witness`` op solves the ground state once. Floats are printed in their
-shortest round-trip form, rows end with LF, and identical configs produce
-byte-identical output; a degenerate sweep point leaves its ``sz_i`` fields
-empty, so no ``nan`` is printed.
+response (``witness_lambda``); ``solve_witness_report`` takes it from the
+report's own ground-state solve when ``lambda0`` leaves the system
+unchanged, so such a ``witness`` op solves the ground state once. Floats
+are printed in their shortest round-trip form, rows end with LF, and
+identical configs produce byte-identical output; a degenerate sweep point
+leaves its ``sz_i`` fields empty, so no ``nan`` is printed.
 
 Exit codes: 0 success (certify: entanglement certified), 1 clean negative
-finding (certify: nothing certified), 2 invalid input, 3 degenerate ground
+finding (certify: nothing certified), 2 invalid input (an unreadable config
+or an ``--out`` path that cannot be written included), 3 degenerate ground
 state where a nondegenerate one is required.
 """
 
@@ -172,7 +172,7 @@ def _parse_grid(block: dict, where: str) -> np.ndarray:
     )
 
 
-_TOLERANCE_KEYS = ("deg_tol", "var_tol", "fd_step", "schmidt_tol")
+_TOLERANCE_KEYS = ("deg_tol", "var_tol", "schmidt_tol")
 
 
 @dataclass(eq=False)
@@ -180,24 +180,12 @@ class RunConfig:
     """Validated run configuration shared by all subcommands."""
 
     system: QubitSystem
-    sweep_direction: QubitSystem | None
+    sweep_path: AffinePath | None
     grid: np.ndarray | None
     track_levels: int
-    witness_direction: QubitSystem | None
+    witness_path: AffinePath | None
     witness_lambda0: float
     tolerances: dict
-
-    @property
-    def sweep_path(self) -> AffinePath | None:
-        if self.sweep_direction is None:
-            return None
-        return AffinePath(base=self.system, direction=self.sweep_direction)
-
-    @property
-    def witness_path(self) -> AffinePath | None:
-        if self.witness_direction is None:
-            return None
-        return AffinePath(base=self.system, direction=self.witness_direction)
 
     def to_document(self) -> dict:
         """Canonical JSON document; parsing it reproduces this config."""
@@ -215,15 +203,15 @@ class RunConfig:
             return block
 
         doc: dict = {"system": system_block(self.system)}
-        if self.sweep_direction is not None:
+        if self.sweep_path is not None:
             doc["sweep"] = {
-                "direction": system_block(self.sweep_direction, with_n=False),
+                "direction": system_block(self.sweep_path.direction, with_n=False),
                 "grid": {"values": [float(v) for v in self.grid]},
                 "track_levels": self.track_levels,
             }
-        if self.witness_direction is not None:
+        if self.witness_path is not None:
             doc["witness"] = {
-                "lambda_direction": system_block(self.witness_direction, with_n=False),
+                "lambda_direction": system_block(self.witness_path.direction, with_n=False),
                 "lambda0": float(self.witness_lambda0),
             }
         tolerances = {
@@ -233,22 +221,14 @@ class RunConfig:
         }
         if tolerances:
             doc["tolerances"] = tolerances
-        doc["format"] = "csv"
         return doc
 
 
 def parse_config(document: dict) -> RunConfig:
-    _check_keys(
-        document,
-        "config",
-        {"system", "sweep", "witness", "tolerances", "format"},
-        {"system"},
-    )
-    if document.get("format", "csv") != "csv":
-        raise ConfigError(f"unsupported output format {document.get('format')!r}")
+    _check_keys(document, "config", {"system", "sweep", "witness", "tolerances"}, {"system"})
     system = _parse_system(document["system"], "system")
 
-    sweep_direction = None
+    sweep_path = None
     grid = None
     track_levels = 2
     if "sweep" in document:
@@ -256,19 +236,25 @@ def parse_config(document: dict) -> RunConfig:
         _check_keys(
             block, "sweep", {"direction", "grid", "track_levels"}, {"direction", "grid"}
         )
-        sweep_direction = _parse_system(block["direction"], "sweep.direction", system.n)
+        sweep_path = AffinePath(
+            base=system,
+            direction=_parse_system(block["direction"], "sweep.direction", system.n),
+        )
         grid = _parse_grid(block["grid"], "sweep.grid")
         track_levels = block.get("track_levels", 2)
         if not isinstance(track_levels, int) or isinstance(track_levels, bool):
             raise ConfigError("sweep.track_levels must be an integer")
 
-    witness_direction = None
+    witness_path = None
     witness_lambda0 = 0.0
     if "witness" in document:
         block = document["witness"]
         _check_keys(block, "witness", {"lambda_direction", "lambda0"}, {"lambda_direction"})
-        witness_direction = _parse_system(
-            block["lambda_direction"], "witness.lambda_direction", system.n
+        witness_path = AffinePath(
+            base=system,
+            direction=_parse_system(
+                block["lambda_direction"], "witness.lambda_direction", system.n
+            ),
         )
         witness_lambda0 = _number(block.get("lambda0", 0.0), "witness.lambda0")
 
@@ -282,10 +268,10 @@ def parse_config(document: dict) -> RunConfig:
 
     return RunConfig(
         system=system,
-        sweep_direction=sweep_direction,
+        sweep_path=sweep_path,
         grid=grid,
         track_levels=track_levels,
-        witness_direction=witness_direction,
+        witness_path=witness_path,
         witness_lambda0=witness_lambda0,
         tolerances=tolerances,
     )
@@ -297,6 +283,8 @@ def load_config(path: str) -> RunConfig:
             document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -446,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--levels", type=int, help="number of energy levels")
         cmd.add_argument("--deg-tol", type=float, dest="deg_tol")
         cmd.add_argument("--var-tol", type=float, dest="var_tol")
-        cmd.add_argument("--fd-step", type=float, dest="fd_step")
         cmd.add_argument(
             "--echo-config",
             action="store_true",
@@ -461,13 +448,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(rows: list[str], out_path: str | None):
+def _emit(rows: list[str], out_path: str | None) -> bool:
+    """Write the CSV to ``out_path``, or to stdout without one; ``False``,
+    after one stderr line, when ``out_path`` cannot be written."""
     text = "\n".join(rows) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -492,7 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    _emit(rows, args.out)
+    if not _emit(rows, args.out):
+        return EXIT_CONFIG
     for line in summaries:
         print(line, file=sys.stderr)
     return code

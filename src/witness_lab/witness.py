@@ -13,7 +13,10 @@ the exact path response along a direction (``observables.path_response``),
 certifies entanglement without resolving individual cuts. When the path
 point at ``lambda0`` is the system itself, the reports take ``w_lambda``
 from their own ground-state solve; otherwise ``witness_lambda`` solves the
-path point.
+path point. ``witness_report`` (from a given dense spectrum) and
+``solve_witness_report`` (from its own solve) share one body, so one rule
+covers both: a degenerate ground level at the system or at ``lambda0``
+raises ``DegenerateGroundError``.
 
 Every cut is evaluated at once from the cached ``crossing_table`` (which
 pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
@@ -29,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import MAX_QUBITS, AffinePath, QubitSystem
-from .observables import _solve, path_response, spectrum_response
-from .spectrum import DegenerateGroundError, GroundState, Spectrum
+from .observables import Responses, _solve, path_response, spectrum_response
+from .spectrum import Spectrum
 
 COUPLING_RTOL = 1e-12  # |J_ij| above 1e-12 * max(1, max|J|) counts as a coupling
 
@@ -156,7 +159,7 @@ class WitnessReport:
     """Per-cut witnesses for every bipartition plus the global aggregate.
 
     ``w_lambda`` is populated only when the report was computed along a
-    sweep path; it stays ``None`` for a bare system.
+    path; it stays ``None`` for a bare system.
     """
 
     cuts: list[CutWitness]
@@ -178,36 +181,6 @@ def _global_witness(w_tilde: np.ndarray, n_ab: np.ndarray) -> float:
         return 1.0 / (1.0 + math.exp(-mean_log))
     g = math.exp(mean_log)
     return g / (1.0 + g)
-
-
-def _report(
-    ground: GroundState,
-    chi: np.ndarray,
-    system: QubitSystem,
-    w_lambda: float | None,
-) -> WitnessReport:
-    # Taking a GroundState means the degeneracy gate has passed: chi is only
-    # meaningful for a unique ground state. Here only the shapes are checked.
-    if ground.vector.shape != (system.dim,) or chi.shape != (system.n, system.n):
-        raise ValueError(
-            f"ground state of length {ground.vector.size} and chi of shape "
-            f"{chi.shape} do not belong to a {system.n}-qubit system"
-        )
-    partitions = _canonical_cuts(system.n)
-    n_ab = count_crossing_couplings(system)
-    table = crossing_table(system.n)
-    i, j = np.triu_indices(system.n, 1)
-    # Pair by pair in lexicographic order: every cut's sum runs over its
-    # crossing pairs in the same order, so a cut and its complement, and any
-    # per-cut loop in that order, give bitwise the same value.
-    w_tilde = np.zeros(len(partitions))
-    for p in np.flatnonzero(coupled_pairs(system.J)[i, j]):
-        w_tilde[table[:, p]] += system.J[i[p], j[p]] * chi[i[p], j[p]]
-    w_ab = witness_ab(w_tilde, n_ab)
-    cuts = list(map(CutWitness, partitions, w_tilde.tolist(), n_ab.tolist(), w_ab.tolist()))
-    return WitnessReport(
-        cuts=cuts, w_lambda=w_lambda, w_global=_global_witness(w_tilde, n_ab)
-    )
 
 
 def _lambda_sum(J: np.ndarray, chi: np.ndarray) -> float:
@@ -257,18 +230,44 @@ def _shared_direction(
     return path.direction if same else None
 
 
-def _lambda_row(
+def _witness_report(
+    solve: Callable[[QubitSystem | None], Responses],
     system: QubitSystem,
+    deg_tol: float | None,
     path: AffinePath | None,
     lambda0: float,
-    deg_tol: float | None,
-    response: np.ndarray | None,
-) -> float | None:
-    """``w_lambda`` from the shared solve's path ``response``, else from a
-    second solve at ``lambda0``; ``None`` without a path."""
+) -> WitnessReport:
+    """The one body of both report functions. ``solve(direction)`` returns
+    the gated ground state, ``chi`` and the path response along
+    ``direction`` (``None`` for none); it is the only part that differs."""
+    direction = _shared_direction(system, path, lambda0)
+    ground, chi, response = solve(direction)
+    # Taking a GroundState means the degeneracy gate has passed: chi is only
+    # meaningful for a unique ground state. Here only the shapes are checked.
+    if ground.vector.shape != (system.dim,) or chi.shape != (system.n, system.n):
+        raise ValueError(
+            f"ground state of length {ground.vector.size} and chi of shape "
+            f"{chi.shape} do not belong to a {system.n}-qubit system"
+        )
     if response is not None:
-        return _lambda_sum(system.J, response)
-    return None if path is None else witness_lambda(path, lambda0, deg_tol)
+        w_lambda = _lambda_sum(system.J, response)
+    else:
+        w_lambda = None if path is None else witness_lambda(path, lambda0, deg_tol)
+    partitions = _canonical_cuts(system.n)
+    n_ab = count_crossing_couplings(system)
+    table = crossing_table(system.n)
+    i, j = np.triu_indices(system.n, 1)
+    # Pair by pair in lexicographic order: every cut's sum runs over its
+    # crossing pairs in the same order, so a cut and its complement, and any
+    # per-cut loop in that order, give bitwise the same value.
+    w_tilde = np.zeros(len(partitions))
+    for p in np.flatnonzero(coupled_pairs(system.J)[i, j]):
+        w_tilde[table[:, p]] += system.J[i[p], j[p]] * chi[i[p], j[p]]
+    w_ab = witness_ab(w_tilde, n_ab)
+    cuts = list(map(CutWitness, partitions, w_tilde.tolist(), n_ab.tolist(), w_ab.tolist()))
+    return WitnessReport(
+        cuts=cuts, w_lambda=w_lambda, w_global=_global_witness(w_tilde, n_ab)
+    )
 
 
 def witness_report(
@@ -283,16 +282,13 @@ def witness_report(
 
     When a ``path`` is supplied, ``w_lambda`` is evaluated at ``lambda0``:
     from ``spec`` itself when ``path.at(lambda0)`` is ``system``, otherwise
-    from a second solve, where a degenerate ground level leaves it ``None``
-    instead of failing the whole report.
+    from a second solve. A degenerate ground level at ``system`` or at
+    ``lambda0`` raises ``DegenerateGroundError``.
     """
-    direction = _shared_direction(system, path, lambda0)
-    ground, chi, response = spectrum_response(spec, deg_tol, direction)
-    try:
-        w_lambda = _lambda_row(system, path, lambda0, deg_tol, response)
-    except DegenerateGroundError:  # only a second solve can raise it here
-        w_lambda = None
-    return _report(ground, chi, system, w_lambda)
+    return _witness_report(
+        lambda direction: spectrum_response(spec, deg_tol, direction),
+        system, deg_tol, path, lambda0,
+    )
 
 
 def solve_witness_report(
@@ -301,17 +297,16 @@ def solve_witness_report(
     path: AffinePath | None = None,
     lambda0: float = 0.0,
 ) -> WitnessReport:
-    """Witness report of ``system`` from the route ``ground_response``
-    selects (dense or Krylov), with ``w_lambda`` at ``lambda0`` when a
-    ``path`` is supplied.
+    """``witness_report`` of ``system`` from the route ``ground_response``
+    selects (dense or Krylov) instead of a given spectrum.
 
     The lambda row shares the report's ground-state solve when
     ``path.at(lambda0)`` is ``system`` (always at ``lambda0 = 0`` on a path
-    based at ``system``) and takes a second one otherwise. Unlike
-    ``witness_report``, a degenerate ground level at ``lambda0`` raises
-    ``DegenerateGroundError``.
+    based at ``system``) and takes a second one otherwise. A degenerate
+    ground level at ``system`` or at ``lambda0`` raises
+    ``DegenerateGroundError``, as in ``witness_report``.
     """
-    direction = _shared_direction(system, path, lambda0)
-    ground, chi, response = _solve(system, deg_tol, direction=direction)
-    w_lambda = _lambda_row(system, path, lambda0, deg_tol, response)
-    return _report(ground, chi, system, w_lambda)
+    return _witness_report(
+        lambda direction: _solve(system, deg_tol, direction=direction),
+        system, deg_tol, path, lambda0,
+    )

@@ -121,6 +121,16 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "spectrum", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"system": "\xff\xfe"}')
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert err.startswith("config error: config is not valid UTF-8: ")
+        assert err.count("\n") == 1
+        assert out == ""
+
     def test_reversed_coupling_indices(self, tmp_path, capsys):
         doc = {
             "system": {
@@ -152,9 +162,13 @@ class TestConfigValidation:
         assert code == 2
 
     def test_unsupported_format(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**PINNED, "format": "xml"})
-        code, _, err = run_cli(capsys, "spectrum", "--config", cfg)
-        assert code == 2
+        # the output is always CSV: a format key, even "csv", is unknown
+        for value in ("xml", "csv"):
+            cfg = write_config(tmp_path, {**PINNED, "format": value})
+            code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+            assert code == 2
+            assert err == "config error: unknown key(s) in config: format\n"
+            assert out == ""
 
     @pytest.mark.parametrize("value", ["x", None])
     def test_non_numeric_coupling_value(self, tmp_path, capsys, value):
@@ -464,6 +478,20 @@ class TestSweepCommand:
         assert data.decode().count("\n") == 202
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep", "certify"])
+    @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."])
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys, command, target):
+        # a file in a directory that does not exist, and a directory
+        cfg = write_config(tmp_path, FM_PAIR)
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("output error: ")
+        assert err.count("\n") == 1
+        assert out == ""
+
+
 class TestCertifyCommand:
     def test_fm_pair_certifies(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FM_PAIR)
@@ -545,28 +573,43 @@ class TestTolerances:
 
     @pytest.mark.parametrize("command", ["certify", "witness"])
     def test_negative_fd_step_exits_2_on_every_command(self, tmp_path, capsys, command):
-        doc = {**CONSTANT_PATH, "tolerances": {"fd_step": -1.0}}
-        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
-        assert code == 2
-        assert "fd_step must be positive and finite" in err
-        assert out == ""
+        # the lambda row is the exact path response: fd_step is no key,
+        # whatever its value
+        for value in (-1.0, 1e-4):
+            doc = {**CONSTANT_PATH, "tolerances": {"fd_step": value}}
+            code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+            assert code == 2
+            assert err == "config error: unknown key(s) in tolerances: fd_step\n"
+            assert out == ""
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
-        "key,value",
+        "key,value,message",
         [
-            ("deg_tol", "inf"),
-            ("var_tol", "0"),
-            ("fd_step", "nan"),
-            ("fd_step", "-inf"),
+            pytest.param(
+                "deg_tol", "inf", "deg_tol must be positive and finite", id="deg_tol-inf"
+            ),
+            pytest.param("var_tol", "0", "var_tol must be positive and finite", id="var_tol-0"),
+            # --fd-step is no flag: argparse refuses it
+            pytest.param(
+                "fd_step", "nan", "unrecognized arguments: --fd-step=nan", id="fd_step-nan"
+            ),
+            pytest.param(
+                "fd_step", "-inf", "unrecognized arguments: --fd-step=-inf", id="fd_step--inf"
+            ),
         ],
     )
-    def test_invalid_flag_exits_2(self, tmp_path, capsys, command, key, value):
+    def test_invalid_flag_exits_2(self, tmp_path, capsys, command, key, value, message):
         cfg = write_config(tmp_path, CONSTANT_PATH)
         flag = "--" + key.replace("_", "-")
-        code, out, err = run_cli(capsys, command, "--config", cfg, f"{flag}={value}")
+        try:
+            code = main([command, "--config", cfg, f"{flag}={value}"])
+        except SystemExit as exc:  # argparse exits on an unknown flag
+            code = exc.code
+        out, err = capsys.readouterr()
         assert code == 2
-        assert f"{key} must be positive and finite" in err
+        assert message in err
+        assert "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -2,11 +2,13 @@
 
 Every document gets one of the documented exit codes, 0 to 3, and no
 traceback: an uncaught exception (including a numpy ``RuntimeWarning``, which
-the test configuration turns into an error) fails the example. Documents
-stay small, at most 4 qubits and 5 grid points, so no example allocates more
-than a few MB; an oversized ``grid.num`` must be refused before its grid is
-built. Generation is derandomized, so every run checks the same
-examples.
+the test configuration turns into an error) fails the example. A document
+that carries a key the format no longer has (``format``,
+``tolerances.fd_step``), or a run with the removed ``--fd-step`` flag, exits
+2. Documents stay small, at most 4 qubits and 5 grid points, so no example
+allocates more than a few MB; an oversized ``grid.num`` must be refused
+before its grid is built. Generation is derandomized, so every run checks
+the same examples.
 """
 
 import contextlib
@@ -85,8 +87,8 @@ def valid_documents(draw):
             "lambda0": draw(lambda0s),
         }
     if draw(st.booleans()):
-        keys = st.sampled_from(["deg_tol", "var_tol", "fd_step", "schmidt_tol"])
-        doc["tolerances"] = draw(st.dictionaries(keys, st.floats(1e-12, 0.5), max_size=4))
+        keys = st.sampled_from(["deg_tol", "var_tol", "schmidt_tol"])
+        doc["tolerances"] = draw(st.dictionaries(keys, st.floats(1e-12, 0.5), max_size=3))
     return doc
 
 
@@ -160,11 +162,27 @@ def _run(argv, doc):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--config", path])
+            try:
+                code = main(argv + ["--config", path])
+            except SystemExit as exc:  # argparse exits on an unknown flag
+                code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
     return code, out.getvalue()
+
+
+def _add_removed_key(doc, key):
+    """Put a key the config format no longer has into ``doc``: a top-level
+    ``format`` or ``tolerances.fd_step``. ``False`` when ``doc`` has no
+    object to hold it."""
+    if not isinstance(doc, dict):
+        return False
+    if key == "format":
+        doc["format"] = "csv"
+    elif isinstance(doc.setdefault("tolerances", {}), dict):
+        doc["tolerances"]["fd_step"] = 1e-4
+    return True
 
 
 @FUZZ
@@ -172,13 +190,17 @@ def _run(argv, doc):
     doc=documents(),
     command=st.sampled_from(["spectrum", "witness", "sweep", "certify"]),
     levels=st.none() | st.none() | st.integers(-1, 17),
+    removed=st.sampled_from([None] * 8 + ["format", "fd_step"]),
 )
-def test_every_document_gets_a_documented_exit_code(doc, command, levels):
+def test_every_document_gets_a_documented_exit_code(doc, command, levels, removed):
     argv = [command]
     if levels is not None:
         argv += ["--levels", str(levels)]
+    stale = removed is not None and _add_removed_key(doc, removed)
     code, _ = _run(argv, doc)
-    event(f"{command} exit {code}")
+    if stale:
+        assert code == 2
+    event(f"{command} exit {code}" + (f", {removed} key" if stale else ""))
 
 
 def _lambda_route(doc) -> str:
@@ -221,11 +243,12 @@ flag_values = (
 )
 def test_every_tolerance_flag_gets_a_documented_exit_code(command, doc, flags, num):
     # "--flag=value", so argparse takes "-inf" as a value, not an option.
+    # --fd-step is no flag: argparse refuses it with exit 2.
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
     oversized = num is not None and "sweep" in doc
     if oversized:
         doc["sweep"]["grid"] = {"start": -1.0, "stop": 1.0, "num": num}
     code, _ = _run(argv, doc)
-    if oversized:
+    if oversized or "--fd-step" in flags:
         assert code == 2
     event(f"exit {code}" + (", oversized grid" if oversized else ""))

@@ -29,6 +29,8 @@ CASES = {
     "witness_lambda_shared": (["witness"], "witness_lambda_shared.json"),
     "witness_lambda_second": (["witness"], "witness_lambda_second.json"),
     "witness_krylov_n10": (["witness"], "krylov_chain_n10.json"),
+    # fd_step left with the finite-difference lambda row: an unknown key
+    "witness_fd_step_rejected": (["witness"], "witness_fd_step.json"),
     "sweep_degenerate_end": (["sweep"], "degenerate_end_sweep.json"),
     "sweep_chain_n6": (["sweep"], "chain_n6_sweep.json"),
     "certify_fm_pair": (["certify"], "fm_pair.json"),

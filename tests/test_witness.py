@@ -29,6 +29,7 @@ from witness_lab import (
     ground_response,
     ground_state,
     is_separable,
+    solve_witness_report,
     witness_ab,
     witness_lambda,
     witness_report,
@@ -440,21 +441,60 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def random_path(n, seed):
+    rng = np.random.default_rng(seed)
+    base = QubitSystem(
+        delta=rng.uniform(0.5, 1.5, n),
+        h=rng.uniform(-0.3, 0.3, n),
+        J=random_couplings(rng, n),
+    )
+    direction = QubitSystem(
+        delta=rng.uniform(-1, 1, n), h=rng.uniform(-1, 1, n), J=random_couplings(rng, n)
+    )
+    return AffinePath(base=base, direction=direction)
+
+
+class TestOneReportBody:
+    """``witness_report`` on a dense spectrum and ``solve_witness_report``
+    run one body: below the Krylov dimension they agree bit for bit, and a
+    degenerate ground level at ``lambda0`` raises on both."""
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.25])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_reports_are_bitwise_equal(self, n, lambda0):
+        path = random_path(n, 40 + n)
+        system = path.base
+        given = witness_report(spectrum_of(system), system, path=path, lambda0=lambda0)
+        solved = solve_witness_report(system, path=path, lambda0=lambda0)
+        assert given.cuts == solved.cuts
+        assert given.w_lambda is not None
+        assert given.w_lambda == solved.w_lambda
+        assert given.w_global == solved.w_global
+
+    @pytest.mark.parametrize("lambda0", [0.25, 0.5])
+    def test_degenerate_lambda_point_raises_on_both(self, lambda0):
+        # The bias on qubit 1 splits its levels at the system, and at lambda0
+        # the direction cancels it: qubit 1 has delta = h = 0 there, so the
+        # ground level of the uncoupled pair is doubly degenerate.
+        system = QubitSystem(delta=[1.0, 0.0], h=[0.0, 1.0], J=np.zeros((2, 2)))
+        direction = QubitSystem(
+            delta=[0.0, 0.0], h=[0.0, -1.0 / lambda0], J=np.zeros((2, 2))
+        )
+        path = AffinePath(base=system, direction=direction)
+        assert path.at(lambda0).h[1] == 0.0
+        spec = spectrum_of(system)
+        with pytest.raises(DegenerateGroundError):
+            witness_report(spec, system, path=path, lambda0=lambda0)
+        with pytest.raises(DegenerateGroundError):
+            solve_witness_report(system, path=path, lambda0=lambda0)
+        # without the lambda row, the system itself has a unique ground state
+        assert witness_report(spec, system).w_lambda is None
+        assert solve_witness_report(system).w_lambda is None
+
+
 class TestOneSolvePerWitnessOp:
     """A ``witness`` op whose lambda row sits at the system itself solves
     the ground state once; any other ``lambda0`` takes a second solve."""
-
-    def random_path(self, n, seed):
-        rng = np.random.default_rng(seed)
-        base = QubitSystem(
-            delta=rng.uniform(0.5, 1.5, n),
-            h=rng.uniform(-0.3, 0.3, n),
-            J=random_couplings(rng, n),
-        )
-        direction = QubitSystem(
-            delta=rng.uniform(-1, 1, n), h=rng.uniform(-1, 1, n), J=random_couplings(rng, n)
-        )
-        return AffinePath(base=base, direction=direction)
 
     def run(self, tmp_path, capsys, doc, *flags):
         cfg = tmp_path / "run.json"
@@ -472,7 +512,7 @@ class TestOneSolvePerWitnessOp:
     def test_solve_counts(
         self, monkeypatch, tmp_path, capsys, n, lambda0, diagonalizations, lanczos_runs
     ):
-        path = self.random_path(n, 70 + n)
+        path = random_path(n, 70 + n)
         dense = count_calls(monkeypatch, spectrum, "diagonalize")
         lanczos = count_calls(monkeypatch, krylov, "_lanczos")
         doc = lambda_row_document(path.base, path.direction, lambda0)
@@ -482,7 +522,7 @@ class TestOneSolvePerWitnessOp:
 
     def test_lambda_row_is_bitwise_witness_lambda(self, tmp_path, capsys):
         for n in range(2, 11):
-            path = self.random_path(n, 90 + n)
+            path = random_path(n, 90 + n)
             # a signed zero in the system: path.at(0.0) turns it into +0.0,
             # which must still share the solve and change no digit
             h = np.array(path.base.h)
@@ -504,7 +544,7 @@ class TestOneSolvePerWitnessOp:
     @pytest.mark.parametrize("lambda0", [0.0, -0.0, 1e-320])
     def test_dense_report_takes_the_row_from_its_spectrum(self, monkeypatch, lambda0):
         # 1e-320 * 1 vanishes next to every coefficient: the point is the system
-        path = self.random_path(5, 5)
+        path = random_path(5, 5)
         spec = spectrum_of(path.base)
         expected = witness_lambda(path, lambda0)
         dense = count_calls(monkeypatch, spectrum, "diagonalize")
@@ -535,7 +575,7 @@ class TestOneSolvePerWitnessOp:
 
     @pytest.mark.parametrize("n", [2, 8, 10])
     def test_overflowing_response_exits_2(self, monkeypatch, tmp_path, capsys, n):
-        path = self.random_path(n, n)
+        path = random_path(n, n)
         direction = QubitSystem(
             delta=np.zeros(n), h=np.full(n, 1e308), J=np.zeros((n, n))
         )
