@@ -3,8 +3,8 @@
 Four subcommands share one config format::
 
     witness-lab spectrum|witness|sweep|certify --config run.json
-                [--out results.csv] [--levels K]
-                [--deg-tol X] [--var-tol X]
+                [--out results.csv] [--deg-tol X] [--var-tol X]
+    (spectrum and sweep also take [--levels K])
 
 The config is a single JSON document. The ``system`` block is mandatory;
 ``sweep`` (path direction plus grid) feeds the sweep and certify commands,
@@ -345,20 +345,20 @@ def _cmd_witness(
     return EXIT_OK, rows, []
 
 
-def _sweep_result(config: RunConfig, args, tol: dict):
+def _sweep_result(config: RunConfig, levels: int | None, tol: dict, energies: bool):
     if config.sweep_path is None or config.grid is None:
         raise ConfigError("this command requires a sweep block in the config")
-    track_levels = config.track_levels if args.levels is None else args.levels
+    track_levels = config.track_levels if levels is None else levels
     sweep_config = SweepConfig(
         path=config.sweep_path, grid=config.grid, track_levels=track_levels
     )
-    return run_sweep(sweep_config, deg_tol=tol["deg_tol"])
+    return run_sweep(sweep_config, deg_tol=tol["deg_tol"], energies=energies)
 
 
 def _cmd_sweep(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
-    result = _sweep_result(config, args, tol)
+    result = _sweep_result(config, args.levels, tol, energies=True)
     k = result.config.track_levels
     n = config.system.n
     header = (
@@ -389,7 +389,8 @@ def _cmd_sweep(
 def _cmd_certify(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
-    result = _sweep_result(config, args, tol)
+    # certify prints no energies: its sweep proves each point's gap instead
+    result = _sweep_result(config, None, tol, energies=False)
     kwargs = {"deg_tol": tol["deg_tol"]}
     for key in ("var_tol", "schmidt_tol"):
         if tol[key] is not None:
@@ -431,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", help="write CSV here instead of stdout")
-        cmd.add_argument("--levels", type=int, help="number of energy levels")
+        if name in ("spectrum", "sweep"):  # the commands that print energies
+            cmd.add_argument("--levels", type=int, help="number of energy levels")
         cmd.add_argument("--deg-tol", type=float, dest="deg_tol")
         cmd.add_argument("--var-tol", type=float, dest="var_tol")
         cmd.add_argument(

@@ -226,16 +226,18 @@ def build_hamiltonians(delta: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.nd
     has shape ``(m, 2^n, 2^n)``. The coefficients must already be valid
     (finite, ``J`` symmetric with zero diagonal). The transverse part places
     ``-delta_i/2`` at index pairs differing in exactly the bit of qubit
-    ``i``; the diagonal carries the bias and coupling terms.
+    ``i``, all qubits in one scatter; the diagonal carries the bias and
+    coupling terms.
     """
     m, n = delta.shape
     dim = 1 << n
     idx = np.arange(dim)
+    bits = 1 << np.arange(n - 1, -1, -1)  # qubit i is bit n - 1 - i
 
     H = np.zeros((m, dim, dim))
-    for i in range(n):
-        flipped = idx ^ (1 << (n - 1 - i))
-        H[:, idx, flipped] += (-0.5 * delta[:, i])[:, None]
+    # Each off-diagonal entry holds one term; "+ 0.0" turns -0.0 into 0.0,
+    # as adding the term to a zero entry does.
+    H[:, idx, idx ^ bits[:, None]] = (-0.5 * delta + 0.0)[:, :, None]
     H[:, idx, idx] += hamiltonian_diagonals(h, J)
     return H
 

@@ -7,13 +7,19 @@ degeneracy gate every ground-state route passes through.
   the ``spectrum`` command prints them and takes its gap from them.
 * ``ground_states`` adds arrays to those energies, for a stack of matrices:
   the ground vectors and the ``degenerate`` mask of one ``gap_gate`` call
-  over the stack. Sweeps, ``certify`` and every dense solve that needs no
-  susceptibility use it (``dense_ground_state`` is its one-matrix case). No
-  excited eigenvector is computed. Each ground vector comes from shifted
-  inverse iteration and must pass a true-residual check; a point whose solve
-  fails or whose check fails takes its vector, and only its vector, from
-  ``diagonalize``, so no unverified vector is returned and every point is
-  gated once, on the energies it reports.
+  over the stack. ``sweep`` and every dense solve that needs no
+  susceptibility use it (``dense_ground_state`` is its one-matrix case), and
+  a ``sweep`` record is bitwise what it gives. No excited eigenvector is
+  computed. Each ground vector comes from shifted inverse iteration and must
+  pass a true-residual check; a point whose solve fails or whose check fails
+  takes its vector, and only its vector, from ``diagonalize``, so no
+  unverified vector is returned and every point is gated once, on the
+  energies it reports.
+* ``prove_ground_states`` needs no energies at all: from a warm vector it
+  finds a ground vector by Rayleigh-quotient iteration and proves the gap
+  above the degeneracy tolerance with one Cholesky factorization
+  (rank-one interlacing). ``certify``, which prints no energies, uses it
+  for every grid point it can prove and ``ground_states`` for the rest.
 
 Routes that need only the ground state, its gap and the susceptibility
 matrix at dimension 1024 and above (the ``witness`` command) use the
@@ -34,6 +40,8 @@ EIGEN_RTOL = 1e-12  # eigen-residual relative to max(1, |E_0|, |E_max|)
 TRUE_RESIDUAL_SLACK = 100.0  # recomputed residuals may exceed the tolerance this much
 SHIFT_RTOL = 1e-13  # inverse-iteration shift below E_0, relative like EIGEN_RTOL
 INVERSE_STEPS = 2
+RAYLEIGH_STEPS = 4  # most Rayleigh-quotient inverse-iteration solves of a proof
+CONVERGED_RTOL = 4.0 * np.finfo(float).eps  # residual floor per sqrt(dim) * |H|
 GOLDEN = 0.6180339887498949  # Weyl sequence step of the inverse-iteration start
 
 
@@ -272,6 +280,102 @@ def ground_states(
             vectors[k] = diagonalize(H[k]).states[:, 0]
     vectors.setflags(write=False)
     return energies, vectors, degenerate
+
+
+def prove_ground_states(
+    H: np.ndarray, start: np.ndarray, deg_tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground vectors ``(m, dim)`` of a stack of matrices ``(m, dim, dim)``,
+    each proven nondegenerate without an eigenvalue solve, and the mask
+    ``proven`` ``(m,)``; an unproven point's vector is NaN.
+
+    From the warm vector ``start`` (shape ``(dim,)``, shared by the stack),
+    Rayleigh-quotient inverse iteration runs until the true residual ``|H v
+    - rho v|`` reaches rounding level, ``CONVERGED_RTOL * sqrt(dim) * |H|``,
+    for at most ``RAYLEIGH_STEPS`` solves; each shift sits ``SHIFT_RTOL``
+    below the quotient, so an exact eigenvector does not make a solve
+    singular. A vector that does not converge, or whose residual exceeds
+    ``TRUE_RESIDUAL_SLACK * EIGEN_RTOL * max(1, |rho|)``, is not proven.
+    Then one stacked Cholesky factorization of ``H - (rho + tau + margin) I
+    + alpha v v^T`` is the proof, ``rho >= E_0`` being the Rayleigh quotient
+    of ``v``: the rank-one term lifts at most one eigenvalue (interlacing,
+    Horn & Johnson, *Matrix Analysis* §4.3), so if that matrix is positive
+    definite, ``E_1 > rho + tau >= E_0 + tau``, whatever the error in ``v``.
+    The same test fails when ``v`` belongs to an excited level, since then
+    ``E_0`` also lies below the shift. ``tau`` is ``deg_tol``, or 1e-9 of
+    ``max(1, width)`` for a Gershgorin bound ``width`` of ``E_max - E_0``, so
+    a proven point passes ``gap_gate`` at its tolerance. ``alpha`` is
+    ``width + 2 tau``, enough to lift the ground level above the shift.
+    ``margin`` bounds the rounding of ``rho``, of forming the matrix and of
+    its factorization (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.5; Rump, BIT 46, 2006). Signs follow
+    ``diagonalize``. Inputs are validated as ``eigenvalues`` validates them.
+    """
+    H = _check_matrix(H, 3)
+    m, dim = H.shape[:2]
+    if deg_tol is not None:
+        deg_tol = require_positive_finite("deg_tol", deg_tol)
+    vectors = np.full((m, dim), np.nan)
+    proven = np.zeros(m, dtype=bool)
+    diag = np.arange(dim)
+    with np.errstate(all="ignore"):  # a non-finite value fails a check
+        center = np.diagonal(H, axis1=1, axis2=2)
+        radius = np.abs(H).sum(axis=2) - np.abs(center)
+        low, high = (center - radius).min(axis=1), (center + radius).max(axis=1)
+        width = high - low  # Gershgorin: E_max - E_0 <= width
+        norm = np.maximum(np.abs(low), np.abs(high))  # >= |H|_2 and any row's |H| sum
+        floor = CONVERGED_RTOL * math.sqrt(dim) * norm
+        x = np.tile(np.asarray(start, dtype=float) / np.linalg.norm(start), (m, 1))
+        rho, residual = np.zeros(m), np.full(m, np.inf)
+        active = np.arange(m)
+        for step in range(RAYLEIGH_STEPS + 1):
+            A = H if active.size == m else H[active]
+            y = (A @ x[active, :, None])[..., 0]
+            rho[active] = (x[active] * y).sum(axis=1)
+            residual[active] = np.linalg.norm(y - rho[active, None] * x[active], axis=1)
+            active = active[~(residual[active] <= floor[active])]
+            if step == RAYLEIGH_STEPS or not active.size:
+                break
+            A = H[active]
+            shift = rho[active] - SHIFT_RTOL * np.maximum(1.0, np.abs(rho[active]))
+            A[:, diag, diag] -= shift[:, None]
+            try:
+                solved = np.linalg.solve(A, x[active, :, None])[..., 0]
+            except np.linalg.LinAlgError:  # an exactly singular shift: no proof
+                break
+            x[active] = solved / np.linalg.norm(solved, axis=1, keepdims=True)
+        tau = 1e-9 * np.maximum(1.0, width) if deg_tol is None else np.full(m, deg_tol)
+        alpha = width + 2.0 * tau
+        eps = np.finfo(float).eps
+        margin = 4.0 * (dim + 2) * eps * (dim * (norm + np.abs(rho) + tau) + alpha)
+        checked = (residual <= floor) & (
+            residual <= TRUE_RESIDUAL_SLACK * EIGEN_RTOL * np.maximum(1.0, np.abs(rho))
+        )
+    live = np.flatnonzero(checked & np.isfinite(margin))
+    if not live.size:
+        return vectors, proven
+    x, shift, alpha = x[live], (rho + tau + margin)[live], alpha[live]
+    M = (alpha[:, None] * x)[:, :, None] * x[:, None, :]
+    M += H[live]
+    M[:, diag, diag] -= shift[:, None]
+    try:
+        np.linalg.cholesky(M)
+        factored = np.ones(live.size, dtype=bool)
+    except np.linalg.LinAlgError:  # one point's failure fails the stack
+        factored = np.array([_positive_definite(A) for A in M])
+    lead = np.argmax(np.abs(x), axis=1)
+    x[x[np.arange(live.size), lead] < 0.0] *= -1.0
+    vectors[live[factored]] = x[factored]
+    proven[live[factored]] = True
+    return vectors, proven
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def dense_ground_state(H: np.ndarray, deg_tol: float | None = None) -> GroundState:

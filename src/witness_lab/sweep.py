@@ -10,12 +10,24 @@ stacked eigenvalues, residual-checked ground vectors and the degeneracy mask
 of one gate call, with no excited eigenvectors. The ``<sz_i>`` of all the
 chunk's nondegenerate points come from one ``sigma_z_profile`` product. A
 point records energies, gap and ``<sz_i>`` only: no witness report and no
-system per point. Degenerate points are flagged rather than failing the
+system per point, and the record is bitwise what ``ground_states`` gives for
+that point alone. Degenerate points are flagged rather than failing the
 sweep.
+
+A sweep without energies (``energies=False``, the ``certify`` route) needs
+only each point's ground vector and the fact that it is nondegenerate. The
+grid is cut into fixed segments of ``SEGMENT_CHUNKS`` chunks. A segment's
+first chunk goes through ``ground_states``; each later chunk is proven by
+``spectrum.prove_ground_states``, warm-started from the segment's last
+nondegenerate vector, and any point it cannot prove goes through
+``ground_states``, whose gate then sets the point's flag. Its ``<sz_i>``
+agree with ``ground_states``' to rounding, not bitwise. The segments do not
+depend on the CPU count, so neither does the result.
 
 Up to dimension ``PARALLEL_MAX_DIM`` (64, n <= 6) the chunks are solved on
 every usable CPU: the calling thread and one helper thread per further CPU
-take the chunks by stride. A chunk's solve is almost all LAPACK, which runs
+take the chunks, or a sweep without energies its whole segments, by stride.
+A chunk's solve is almost all LAPACK, which runs
 with the GIL released, so the threads overlap. The calling thread drains the
 solved chunks in grid order: it makes every ``sigma_z_profile`` call and
 every record, frees each chunk's vectors once recorded, and raises the
@@ -29,7 +41,8 @@ so those sweeps run on the calling thread alone. On top of a sweep result:
 * ``certify_entanglement_on_path`` certifies ground-state entanglement for
   every pair that stays coupled on the whole grid and whose ``<sz>``
   trajectories both change along the path, provided no grid point is
-  degenerate — cross-checked against the Schmidt-decomposition oracle.
+  degenerate and no classical qubit's ``<sz>`` flips — cross-checked against
+  the Schmidt-decomposition oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ import numpy as np
 from .model import AffinePath, build_hamiltonians
 from .observables import sigma_z_profile
 from .separability import SCHMIDT_TOL, is_fully_separable, resolve_schmidt_tolerance
-from .spectrum import dense_ground_state, ground_states, require_positive_finite
+from .spectrum import ground_states, prove_ground_states, require_positive_finite
 from .witness import coupled_pairs
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
@@ -51,6 +64,9 @@ SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at
 # Largest dimension whose chunks are split across threads. From 128 on,
 # OpenBLAS's own threads collide with the helper threads and a sweep slows.
 PARALLEL_MAX_DIM = 64
+# Chunks per warm-start segment of a sweep without energies: a segment's
+# first chunk takes the eigenvalue route, the later ones start from it.
+SEGMENT_CHUNKS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +136,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
+def run_sweep(
+    config: SweepConfig, deg_tol: float | None = None, energies: bool = True
+) -> SweepResult:
     """Evaluate the sweep over its grid, in grid order.
 
     The path's coefficients and Hamiltonians are built for a chunk of grid
@@ -131,23 +149,47 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     and ``sigma_z_profile`` give for ``build_hamiltonian(path.at(lam))``
     alone. A degenerate point gets ``degenerate=True`` and NaN ``sz``.
 
-    Up to dimension ``PARALLEL_MAX_DIM`` the chunks are solved by ``W``
-    threads, one per usable CPU but no more than there are chunks: the
-    calling thread solves chunks ``k`` with ``k % W == 0`` and helper
-    threads the others. The calling thread takes the solved chunks in grid
-    order and makes every ``sigma_z_profile`` call, so the records and the
-    exception raised (that of the first failing chunk) are those of a
-    one-thread run. Helpers are joined before this returns or raises.
+    ``energies=False`` (the ``certify`` route) records NaN ``energies`` and
+    ``gap``. It proves every chunk but a segment's first with
+    ``prove_ground_states`` (see the module docstring), so its flags are
+    those of ``ground_states`` except where a gap lies within rounding of
+    the tolerance, and its ``sz`` agree with them to rounding.
+
+    Up to dimension ``PARALLEL_MAX_DIM`` the work is split across ``W``
+    threads, one per usable CPU but no more than there are units of work:
+    chunks, or with ``energies=False`` whole segments, whose warm starts
+    run in grid order. The calling thread solves units ``u`` with ``u % W
+    == 0`` and helper threads the others. The calling thread takes the
+    solved chunks in grid order and makes every ``sigma_z_profile`` call,
+    so the records and the exception raised (that of the first failing
+    chunk) do not depend on ``W``. Helpers are joined before this returns
+    or raises.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
     chunk = max(1, SWEEP_CHUNK_BYTES // (8 * dim * dim))
     starts = range(0, grid.size, chunk)
-    workers = 1 if dim > PARALLEL_MAX_DIM else min(len(starts), _usable_cpus())
+    span = 1 if energies else SEGMENT_CHUNKS  # chunks per unit of work
+    units = range(0, len(starts), span)
+    workers = 1 if dim > PARALLEL_MAX_DIM else min(len(units), _usable_cpus())
 
-    def solve(k):
+    def solve(k, warm):
+        """Chunk ``k``'s levels, ground vectors and degenerate flags, and the
+        warm start of the next chunk of its segment."""
         lams = grid[starts[k] : starts[k] + chunk]
-        return ground_states(build_hamiltonians(*path.coefficients(lams)), deg_tol)
+        H = build_hamiltonians(*path.coefficients(lams))
+        if energies or warm is None:
+            levels, vectors, degenerate = ground_states(H, deg_tol)
+        else:
+            vectors, proven = prove_ground_states(H, warm, deg_tol)
+            degenerate = np.zeros(lams.size, dtype=bool)
+            rest = np.flatnonzero(~proven)
+            if rest.size:
+                _, vectors[rest], degenerate[rest] = ground_states(H[rest], deg_tol)
+        if not energies:
+            levels = np.full((lams.size, config.track_levels), np.nan)
+        live = np.flatnonzero(~degenerate)
+        return (levels, vectors, degenerate), (vectors[live[-1]] if live.size else warm)
 
     # Plain threads, not a concurrent.futures.ThreadPoolExecutor: executor
     # versions gave the same records but were no faster on the n = 6,
@@ -159,18 +201,20 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
     stop = threading.Event()
 
     def helper(first):
-        for k in range(first, len(starts), workers):
-            if stop.is_set():
-                return
-            try:
-                result = solve(k)
-            except Exception as exc:  # raised by the calling thread, in grid order
-                result = exc
-            with ready:
-                solved[k] = result
-                ready.notify()
-            if isinstance(result, Exception):
-                return
+        for u in range(first, len(units), workers):
+            warm = None
+            for k in range(units[u], min(units[u] + span, len(starts))):
+                if stop.is_set():
+                    return
+                try:
+                    result, warm = solve(k, warm)
+                except Exception as exc:  # raised by the calling thread, in grid order
+                    result = exc
+                with ready:
+                    solved[k] = result
+                    ready.notify()
+                if isinstance(result, Exception):
+                    return
 
     helpers = []
     points = []
@@ -180,8 +224,10 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
             thread.start()
             helpers.append(thread)
         for k, start in enumerate(starts):
-            if k % workers == 0:
-                result = solve(k)
+            if k % span == 0:
+                warm = None
+            if k // span % workers == 0:
+                result, warm = solve(k, warm)
             else:
                 with ready:
                     while solved[k] is None:
@@ -189,12 +235,12 @@ def run_sweep(config: SweepConfig, deg_tol: float | None = None) -> SweepResult:
                 result, solved[k] = solved[k], None
                 if isinstance(result, Exception):
                     raise result
-            energies, vectors, degenerate = result
+            levels, vectors, degenerate = result
             lams = grid[start : start + chunk]
             sz = np.full((lams.size, path.n), np.nan)
             sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
-            gaps = energies[:, 1] - energies[:, 0]
-            levels = energies[:, : config.track_levels].copy()
+            gaps = levels[:, 1] - levels[:, 0]
+            levels = levels[:, : config.track_levels].copy()
             flags = degenerate.tolist()
             points += map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags)
     finally:
@@ -266,16 +312,24 @@ def _coupled_everywhere(result: SweepResult) -> np.ndarray:
 def _find_nonseparable_point(
     result: SweepResult, deg_tol: float | None, schmidt_tol: float
 ) -> float | None:
-    # Search in ascending-gap order: entanglement is most likely where the
-    # levels almost touch, so this usually ends after one ground-state solve.
-    order = np.argsort(result.gaps, kind="stable")
-    for k in order:
-        point = result.points[k]
-        if point.degenerate:
+    # Search the steps between neighbouring points from the largest <sz>
+    # change down: entanglement is most likely where the spins turn, at an
+    # anticrossing. A sweep without energies has no gaps, so the two points
+    # of a step are solved together and tried in ascending-gap order, which
+    # usually ends the search at the sweep's smallest gap after one solve.
+    lams = result.lambdas
+    steps = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=1)
+    tried = np.zeros(lams.size, dtype=bool)
+    for k in np.argsort(-steps, kind="stable"):
+        pair = [p for p in (k, k + 1) if not tried[p]]
+        tried[pair] = True
+        if not pair:
             continue
-        H = build_hamiltonians(*result.config.path.coefficients([point.lam]))[0]
-        if not is_fully_separable(dense_ground_state(H, deg_tol).vector, schmidt_tol):
-            return point.lam
+        H = build_hamiltonians(*result.config.path.coefficients(lams[pair]))
+        energies, vectors, degenerate = ground_states(H, deg_tol)
+        for j in np.argsort(energies[:, 1] - energies[:, 0], kind="stable"):
+            if not degenerate[j] and not is_fully_separable(vectors[j], schmidt_tol):
+                return float(lams[pair[j]])
     return None
 
 
@@ -291,18 +345,26 @@ def certify_entanglement_on_path(
     continuous path cannot have both ``<sz_i>`` and ``<sz_j>`` of a coupled
     pair change, so a pair certifies when both total variations exceed
     ``var_tol``. Any degenerate grid point voids certification for the whole
-    path. A positive finding is cross-checked by locating a grid point whose
-    ground state the Schmidt oracle marks as non-separable. ``var_tol``
-    must be positive and finite and ``schmidt_tol`` in (0, 1).
+    path. So does a level crossing between grid points that a classical
+    qubit reveals: a qubit with ``delta_i = 0`` on the whole path has a
+    conserved ``sz_i``, so its ``<sz_i>`` is +-1 at every nondegenerate
+    point, and a flip between any two points means the lowest levels of its
+    two sectors swap order in between. A positive finding is cross-checked
+    by locating a grid point whose ground state the Schmidt oracle marks as
+    non-separable. ``var_tol`` must be positive and finite and
+    ``schmidt_tol`` in (0, 1).
     """
     var_tol = require_positive_finite("var_tol", var_tol)
     schmidt_tol = resolve_schmidt_tolerance(schmidt_tol)
-    degenerate = result.degenerate_flags
-    if bool(degenerate.any()):
+    path = result.config.path
+    classical = (path.base.delta == 0.0) & (path.direction.delta == 0.0)
+    sz = result.sz_trajectories
+    flipped = np.ptp(sz[:, classical], axis=0) > 1.0
+    if bool(result.degenerate_flags.any() or flipped.any()):
         return CertificationReport(
             certified_pairs=[], path_nondegenerate=False, oracle_confirmation=None
         )
-    variations = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=0)
+    variations = np.abs(np.diff(sz, axis=0)).sum(axis=0)
     moving = variations > var_tol
     # argwhere lists pairs i < j in lexicographic order
     pairs = np.argwhere(np.triu(_coupled_everywhere(result) & np.outer(moving, moving)))

@@ -10,13 +10,15 @@ normalized per-cut witness ``|w~| / (N_AB + |w~|)`` and the geometric-mean
 global witness over all cuts are both bounded in [0, 1). A path-based
 witness ``sum_{i<j} |J_ij * chi_i * chi_j|``, with ``chi_i = d<sz_i>/dlambda``
 the exact path response along a direction (``observables.path_response``),
-certifies entanglement without resolving individual cuts. When the path
-point at ``lambda0`` is the system itself, the reports take ``w_lambda``
-from their own ground-state solve; otherwise ``witness_lambda`` solves the
-path point. ``witness_report`` (from a given dense spectrum) and
-``solve_witness_report`` (from its own solve) share one body, so one rule
-covers both: a degenerate ground level at the system or at ``lambda0``
-raises ``DegenerateGroundError``.
+certifies entanglement without resolving individual cuts. A classical
+qubit (``delta_i = 0``) is in a product state with the rest, so its ``chi``
+row and column and its path response are set to exactly 0.0 before any
+sum. When the path point at ``lambda0`` is the system itself, the reports
+take ``w_lambda`` from their own ground-state solve; otherwise
+``witness_lambda`` solves the path point. ``witness_report`` (from a given
+dense spectrum) and ``solve_witness_report`` (from its own solve) share one
+body, so one rule covers both: a degenerate ground level at the system or
+at ``lambda0`` raises ``DegenerateGroundError``.
 
 Every cut is evaluated at once from the cached ``crossing_table`` (which
 pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
@@ -183,9 +185,23 @@ def _global_witness(w_tilde: np.ndarray, n_ab: np.ndarray) -> float:
     return g / (1.0 + g)
 
 
-def _lambda_sum(J: np.ndarray, chi: np.ndarray) -> float:
-    """``sum_{i<j} |J_ij * chi_i * chi_j|``; ``ValueError`` when it does not
-    fit in a float."""
+def _structural_zeros(system: QubitSystem, values: np.ndarray) -> np.ndarray:
+    """``chi`` (``(n, n)``) or a path response (``(n,)``) of ``system``'s
+    ground state with every entry of a classical qubit, ``delta_i = 0``,
+    set to exactly 0.0. Such a qubit's ``sz_i`` commutes with H, so a
+    nondegenerate ground state is an ``sz_i`` eigenstate and ``chi_ij``,
+    ``chi_ji`` and ``d<sz_i>/dlambda`` vanish along any direction; the
+    solvers would give rounding noise instead."""
+    quantum = system.delta != 0.0
+    keep = quantum if values.ndim == 1 else np.outer(quantum, quantum)
+    return np.where(keep, values, 0.0)
+
+
+def _lambda_sum(system: QubitSystem, response: np.ndarray) -> float:
+    """``sum_{i<j} |J_ij * chi_i * chi_j|`` of the path response ``chi_i``
+    of ``system``, after its structural zeros; ``ValueError`` when it does
+    not fit in a float."""
+    J, chi = system.J, _structural_zeros(system, response)
     i, j = np.triu_indices(chi.size, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: rejected below
         total = float(np.abs(J[i, j] * chi[i] * chi[j]).sum())
@@ -205,7 +221,7 @@ def witness_lambda(
     ``ValueError`` when the sum does not fit in a float.
     """
     system = path.at(lambda0)
-    return _lambda_sum(system.J, path_response(system, path.direction, deg_tol))
+    return _lambda_sum(system, path_response(system, path.direction, deg_tol))
 
 
 def _shared_direction(
@@ -249,8 +265,9 @@ def _witness_report(
             f"ground state of length {ground.vector.size} and chi of shape "
             f"{chi.shape} do not belong to a {system.n}-qubit system"
         )
+    chi = _structural_zeros(system, chi)
     if response is not None:
-        w_lambda = _lambda_sum(system.J, response)
+        w_lambda = _lambda_sum(system, response)
     else:
         w_lambda = None if path is None else witness_lambda(path, lambda0, deg_tol)
     partitions = _canonical_cuts(system.n)

@@ -24,6 +24,7 @@ from witness_lab.spectrum import (
     gap_gate,
     ground_gap,
     ground_states,
+    prove_ground_states,
 )
 
 
@@ -361,6 +362,82 @@ class TestGroundStates:
     def test_width_overflow_raises(self):
         with pytest.raises(ValueError, match="spectral width .* overflows"):
             ground_states(np.diag([-1.5e308, 1.5e308])[None])
+
+
+def planted_spectrum(rng, dim, gap):
+    """``Q diag(E) Q^T`` for a random orthogonal ``Q``, ``E_0 = 0``, ``E_1 =
+    gap`` and the other levels in [1, 3], and the exact ground vector."""
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    E = np.concatenate([[0.0, gap], rng.uniform(1.0, 3.0, dim - 2)])
+    H = (Q * E) @ Q.T
+    return (H + H.T) / 2, Q[:, 0]
+
+
+class TestProveGroundStates:
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_gap_below_the_tolerance_is_refused(self, dim):
+        rng = np.random.default_rng(dim)
+        tau = 1e-6
+        for gap in (0.0, 0.5 * tau, tau * (1 - 1e-3), tau):
+            H, v0 = planted_spectrum(rng, dim, gap)
+            vectors, proven = prove_ground_states(H[None], v0, deg_tol=tau)
+            assert not proven[0]
+            assert np.isnan(vectors[0]).all()
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_gap_above_the_tolerance_is_proven(self, dim):
+        rng = np.random.default_rng(dim)
+        tau = 1e-6
+        for gap in (tau * (1 + 1e-2), 2 * tau, 0.5):
+            H, v0 = planted_spectrum(rng, dim, gap)
+            vectors, proven = prove_ground_states(H[None], v0, deg_tol=tau)
+            assert proven[0]
+            assert abs(vectors[0] @ v0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_excited_eigenvector_start_is_never_proven(self, n):
+        rng = np.random.default_rng(40 + n)
+        H = random_path_hamiltonians(rng, n, 5)
+        for k in range(len(H)):
+            states = diagonalize(H[k]).states
+            for level in range(1, min(states.shape[1], 6)):
+                _, proven = prove_ground_states(H[k : k + 1], states[:, level])
+                assert not proven[0]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("deg_tol", [None, 1e-3])
+    def test_proven_points_pass_the_gate(self, n, deg_tol):
+        # Warm starts from the previous grid point, as a sweep makes them:
+        # every proven point is nondegenerate for ground_states, and its
+        # vector is ground_states' vector to rounding, sign included.
+        rng = np.random.default_rng(50 + n)
+        H = random_path_hamiltonians(rng, n, 41)
+        energies, reference, degenerate = ground_states(H, deg_tol)
+        start = diagonalize(H[0]).states[:, 0]
+        vectors, proven = prove_ground_states(H[1:], start, deg_tol)
+        assert proven.any()
+        assert not degenerate[1:][proven].any()
+        assert np.allclose(vectors[proven], reference[1:][proven], rtol=0, atol=1e-9)
+        assert np.isnan(vectors[~proven]).all()
+
+    def test_degenerate_ground_level_is_never_proven(self):
+        # A classical chain at zero bias: all-up and all-down tie exactly.
+        n = 4
+        couplings = [(i, i + 1, -1.0) for i in range(n - 1)]
+        system = QubitSystem.from_couplings([0.0] * n, [0.0] * n, couplings)
+        H = build_hamiltonian(system)
+        for start in (np.eye(1 << n)[0], np.eye(1 << n)[-1], np.ones(1 << n)):
+            assert not prove_ground_states(H[None], start)[1][0]
+
+    def test_validation_matches_ground_states(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            prove_ground_states(np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.ones(2))
+        with pytest.raises(ValueError, match="deg_tol must be positive"):
+            prove_ground_states(np.eye(2)[None], np.ones(2), deg_tol=-1.0)
+
+    def test_overflowing_width_is_not_proven(self):
+        H = np.diag([-1.5e308, 1.5e308])[None]
+        assert not prove_ground_states(H, np.array([1.0, 0.0]))[1][0]
 
 
 @pytest.mark.parametrize("command", ["certify", "sweep", "spectrum"])

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import threading
@@ -283,7 +284,7 @@ def slow_calling_thread(monkeypatch):
     monkeypatch.setattr(sweep_module, "ground_states", delayed)
 
 
-def sweep_records(config):
+def sweep_records(config, energies=True):
     """Every ``SweepPoint`` field as bytes, for bitwise comparison."""
     return [
         (
@@ -293,7 +294,7 @@ def sweep_records(config):
             p.sz.tobytes(),  # NaN payloads included
             p.degenerate,
         )
-        for p in run_sweep(config).points
+        for p in run_sweep(config, energies=energies).points
     ]
 
 
@@ -407,6 +408,146 @@ class TestThreadedSweep:
         result = run_sweep(config)
         assert len(result.points) == 5
         assert started == []
+
+
+def proof_grid_size(n):
+    """Two full segments and a short chunk: every chunk but a segment's
+    first goes through the proof."""
+    return (2 * sweep_module.SEGMENT_CHUNKS + 1) * chunk_points(n) - 3
+
+
+def anticrossing_path(rng, n):
+    """Ferromagnetic chain with weak random tunneling under a uniform bias:
+    the spins flip through sharp anticrossings."""
+    couplings = [(i, i + 1, -float(rng.uniform(0.5, 1.5))) for i in range(n - 1)]
+    base = QubitSystem.from_couplings(
+        rng.uniform(0.05, 0.4, n), rng.uniform(-0.1, 0.1, n), couplings
+    )
+    return uniform_bias_path(base)
+
+
+def count_proofs(monkeypatch):
+    """Points proven and points refused by each ``prove_ground_states``
+    call of the sweep, in call order."""
+    calls = []
+    original = sweep_module.prove_ground_states
+
+    def counting(H, start, deg_tol):
+        vectors, proven = original(H, start, deg_tol)
+        calls.append((int(proven.sum()), int((~proven).sum())))
+        return vectors, proven
+
+    monkeypatch.setattr(sweep_module, "prove_ground_states", counting)
+    return calls
+
+
+class TestProofRoute:
+    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("kind", ["random", "anticrossings", "classical chain"])
+    def test_flags_match_ground_states(self, monkeypatch, n, kind):
+        rng = np.random.default_rng(20 + n)
+        grid = np.linspace(-1.5, 1.5, proof_grid_size(n))
+        if kind == "random":
+            path = random_path(rng, n)
+        elif kind == "anticrossings":
+            path = anticrossing_path(rng, n)
+        else:
+            # all-up and all-down tie at lambda = 0, inside a proven chunk
+            k = sweep_module.SEGMENT_CHUNKS * chunk_points(n) + chunk_points(n) + 1
+            grid -= grid[k]
+            path = fm_chain_path(n, delta=0.0)
+        config = SweepConfig(path=path, grid=grid)
+        reference = run_sweep(config)  # bitwise ground_states per point
+        calls = count_proofs(monkeypatch)
+        result = run_sweep(config, energies=False)
+        assert sum(proven for proven, _ in calls) > grid.size // 2
+        flags = result.degenerate_flags
+        assert np.array_equal(flags, reference.degenerate_flags)
+        assert flags.any() == (kind == "classical chain")
+        sz, expected = result.sz_trajectories, reference.sz_trajectories
+        assert np.isnan(sz[flags]).all()
+        assert np.allclose(sz[~flags], expected[~flags], rtol=0, atol=1e-9)
+        assert np.isnan(result.gaps).all()
+        assert all(np.isnan(p.energies).all() and p.energies.shape == (2,) for p in result.points)
+
+    def test_refused_points_take_the_ground_states_records(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 6
+        config = SweepConfig(
+            path=anticrossing_path(rng, n), grid=np.linspace(-1.0, 1.0, proof_grid_size(n))
+        )
+        reference = run_sweep(config)
+
+        def refuse(H, start, deg_tol):
+            return np.full(H.shape[:2], np.nan), np.zeros(len(H), dtype=bool)
+
+        monkeypatch.setattr(sweep_module, "prove_ground_states", refuse)
+        result = run_sweep(config, energies=False)
+        for point, expected in zip(result.points, reference.points, strict=True):
+            assert point.sz.tobytes() == expected.sz.tobytes()
+            assert point.degenerate == expected.degenerate
+
+    def test_each_segment_starts_on_the_eigenvalue_route(self, monkeypatch):
+        n = 6
+        grid = np.linspace(-1.0, 1.0, proof_grid_size(n))
+        config = SweepConfig(path=fm_chain_path(n), grid=grid)
+        size, chunk = config.grid.size, chunk_points(n)
+        chunks = -(-size // chunk)
+        firsts = range(0, size, sweep_module.SEGMENT_CHUNKS * chunk)
+        stacks = []
+        original = sweep_module.ground_states
+
+        def counting(H, deg_tol):
+            stacks.append(len(H))
+            return original(H, deg_tol)
+
+        monkeypatch.setattr(sweep_module, "ground_states", counting)
+        calls = count_proofs(monkeypatch)
+        pin_workers(monkeypatch, 1)
+        run_sweep(config, energies=False)
+        assert len(calls) == chunks - len(firsts)
+        assert all(refused == 0 for _, refused in calls)  # a smooth path
+        assert stacks == [min(chunk, size - first) for first in firsts]
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_threads_give_the_one_worker_records(self, monkeypatch, n):
+        rng = np.random.default_rng(60 + n)
+        grid = np.linspace(-1.5, 1.5, proof_grid_size(n))
+        config = SweepConfig(path=anticrossing_path(rng, n), grid=grid)
+        pin_workers(monkeypatch, 1)
+        serial = sweep_records(config, energies=False)
+        for workers in (2, 3):
+            pin_workers(monkeypatch, workers)
+            started = record_thread_starts(monkeypatch)
+            assert sweep_records(config, energies=False) == serial
+            assert len(started) == min(workers, 3) - 1
+            assert not any(thread.is_alive() for thread in started)
+
+    def test_certify_stdout_does_not_depend_on_the_workers(self, monkeypatch, tmp_path, capsys):
+        from witness_lab.cli import main
+
+        n = 6
+        doc = {
+            "system": {
+                "n": n,
+                "delta": [0.45, 0.35, 0.5, 0.4, 0.55, 0.3],
+                "h": [0.05, -0.03, 0.08, -0.06, 0.02, 0.01],
+                "couplings": [[i, i + 1, -1.0 - 0.1 * i] for i in range(n - 1)],
+            },
+            "sweep": {
+                "direction": {"delta": [0.0] * n, "h": [1.0] * n, "couplings": []},
+                "grid": {"start": -2.0, "stop": 2.0, "num": 2001},
+            },
+        }
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        outputs = []
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            assert main(["certify", "--config", str(cfg)]) == 0
+            outputs.append(capsys.readouterr())
+        assert "\npath_nondegenerate,true\noracle_lambda,-" in outputs[0].out
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestDetectAnticrossings:
@@ -530,6 +671,58 @@ class TestCertification:
         variations = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=0)
         assert variations[1] <= 1e-9  # the pinned qubit never moves
         assert report.certified_pairs == []
+        assert report.path_nondegenerate  # a classical qubit that never flips
+
+    @pytest.mark.parametrize(
+        "base, num",
+        [
+            # lambda = 0, where the two classical sectors cross, is off the grid
+            (QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)]), 20),
+            (
+                QubitSystem.from_couplings(
+                    [0.0] * 3, [0.3, 0.0, 0.0], [(0, 1, -1.0), (1, 2, -1.0)]
+                ),
+                200,
+            ),
+            # one quantum qubit: qubit 1's sz still jumps between grid points
+            (QubitSystem.from_couplings([0.4, 0.0], [0.0, 0.0], [(0, 1, -1.0)]), 20),
+        ],
+    )
+    def test_classical_qubit_flip_voids_certification(self, base, num):
+        config = SweepConfig(path=uniform_bias_path(base), grid=np.linspace(-1, 1, num))
+        for energies in (True, False):
+            result = run_sweep(config, energies=energies)
+            assert not result.degenerate_flags.any()
+            report = certify_entanglement_on_path(result)
+            assert not report.path_nondegenerate
+            assert report.certified_pairs == []
+            assert report.oracle_confirmation is None
+
+    def test_flip_rule_needs_delta_zero_on_the_whole_path(self):
+        # Qubit 1 has delta = 0 at the base only: the direction gives it
+        # tunneling, so its sz may turn continuously and nothing is voided.
+        base = QubitSystem.from_couplings([0.4, 0.0], [0.0, 0.0], [(0, 1, -1.0)])
+        direction = QubitSystem(delta=[0.0, 0.5], h=[1.0, 1.0], J=np.zeros((2, 2)))
+        config = SweepConfig(
+            path=AffinePath(base=base, direction=direction), grid=np.linspace(0.05, 1, 20)
+        )
+        report = certify_entanglement_on_path(run_sweep(config))
+        assert report.path_nondegenerate
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_starts_at_the_smallest_gap(self, seed):
+        # A sharp anticrossing: the step of largest <sz> change brackets the
+        # smallest gap of the grid, which the oracle confirms first.
+        rng = np.random.default_rng(seed)
+        n = 4
+        couplings = [(i, i + 1, -float(rng.uniform(0.8, 1.2))) for i in range(n - 1)]
+        base = QubitSystem.from_couplings(
+            rng.uniform(0.3, 0.5, n), rng.uniform(-0.1, 0.1, n), couplings
+        )
+        config = SweepConfig(path=uniform_bias_path(base), grid=np.linspace(-1, 1, 401))
+        gaps = run_sweep(config).gaps
+        report = certify_entanglement_on_path(run_sweep(config, energies=False))
+        assert report.oracle_confirmation == config.grid[np.argmin(gaps)]
 
     def test_degenerate_path_voids_certification(self):
         base = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)])

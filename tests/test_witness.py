@@ -588,3 +588,48 @@ class TestOneSolvePerWitnessOp:
         assert err.startswith("config error: ") and "overflows" in err
         assert "Warning" not in err
         assert (dense[0], lanczos[0]) == ((1, 0) if n < 10 else (0, 2))
+
+
+def classical_star(n, seed=0):
+    """Qubit 0 tunnels (delta 0.7); every other qubit is classical (delta 0)
+    and coupled to qubit 0 and along a chain. Each sz_j with j > 0 is
+    conserved, so the ground state is a product state."""
+    rng = np.random.default_rng(seed)
+    couplings = [(0, j, float(rng.uniform(0.5, 1.5))) for j in range(1, n)]
+    couplings += [(j, j + 1, -1.0) for j in range(1, n - 1)]
+    h = [0.3] + list(rng.uniform(0.1, 0.4, n - 1))
+    return QubitSystem.from_couplings([0.7] + [0.0] * (n - 1), h, couplings)
+
+
+class TestClassicalQubits:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_product_ground_state_gives_exact_zeros(self, n):
+        # n = 10 runs the Krylov route, the others the dense one.
+        system = classical_star(n, seed=n)
+        direction = QubitSystem(delta=np.zeros(n), h=np.ones(n), J=np.zeros((n, n)))
+        for lambda0 in (0.0, 0.1):  # the shared solve and a second one
+            path = AffinePath(base=system, direction=direction)
+            report = solve_witness_report(system, path=path, lambda0=lambda0)
+            assert [cut.w_tilde for cut in report.cuts] == [0.0] * len(report.cuts)
+            assert report.w_global == 0.0
+            assert report.w_lambda == 0.0
+            assert witness_lambda(path, lambda0) == 0.0
+
+    def test_n2_example_was_rounding_noise(self):
+        # delta = (0.7, 0): chi_01 comes out of the solver near 1e-19.
+        system = QubitSystem.from_couplings([0.7, 0.0], [0.3, 0.2], [(0, 1, 1.0)])
+        _, chi = ground_response(system)
+        assert chi[0, 1] != 0.0 and abs(chi[0, 1]) < 1e-15
+        report = witness_report(spectrum_of(system), system)
+        assert report.cuts[0].w_tilde == 0.0 and report.w_global == 0.0
+
+    def test_quantum_pairs_keep_their_values(self):
+        # Qubit 2 is classical; the pair (0, 1) is untouched by the zeros.
+        system = QubitSystem.from_couplings(
+            [0.5, 0.6, 0.0], [0.1, -0.2, 0.3], [(0, 1, -1.0), (1, 2, 0.7)]
+        )
+        _, chi = ground_response(system)
+        report = report_of(system)
+        cut = cut_in(report, Bipartition(mask=0b001, n=3))  # {0} | {1, 2}
+        assert cut.w_tilde == -1.0 * chi[0, 1]
+        assert cut_in(report, Bipartition(mask=0b011, n=3)).w_tilde == 0.0  # {0, 1} | {2}
