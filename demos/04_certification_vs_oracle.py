@@ -8,8 +8,11 @@ entangled somewhere on that path. Total variation of each <sz_i(lambda)>
 trajectory decides "changes"; any degenerate grid point voids the whole
 path.
 
-The brute-force Schmidt oracle then independently locates a grid point whose
-ground state fails full separability.
+A certified finding names a grid point, oracle_lambda, at which a certified
+pair is coupled and both its qubits tunnel (delta != 0); by Perron-Frobenius
+the ground state there is entangled. The brute-force Schmidt oracle then
+checks that point independently: its ground state must fail full
+separability.
 """
 
 import numpy as np
@@ -18,7 +21,11 @@ from witness_lab import (
     AffinePath,
     QubitSystem,
     SweepConfig,
+    build_hamiltonian,
     certify_entanglement_on_path,
+    diagonalize,
+    ground_state,
+    is_fully_separable,
     run_sweep,
 )
 
@@ -32,7 +39,12 @@ def certify(label, base, direction, grid):
     if report.certified_pairs:
         for i, j, var_i, var_j in report.certified_pairs:
             print(f"  pair ({i},{j}) certified: variations {var_i:.3f}, {var_j:.3f}")
-        print(f"  oracle confirms non-separability at lambda = {report.oracle_confirmation}")
+        lam = report.oracle_confirmation
+        spec = diagonalize(build_hamiltonian(config.path.at(lam)))
+        entangled = not is_fully_separable(ground_state(spec).vector)
+        print(f"  entangled by structure at lambda = {lam}")
+        print(f"  Schmidt oracle finds that ground state non-separable: {entangled}")
+        assert entangled
     else:
         print("  nothing certified (witness silent, state may or may not be entangled)")
     return report

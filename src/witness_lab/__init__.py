@@ -1,6 +1,6 @@
 """Exact diagonalization of transverse-field Ising qubit systems with
-susceptibility-based entanglement witnesses and a brute-force separability
-oracle."""
+susceptibility-based entanglement witnesses, path certification, and a
+brute-force separability oracle to check them against."""
 
 from .model import (
     MAX_QUBITS,

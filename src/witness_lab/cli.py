@@ -3,8 +3,8 @@
 Four subcommands share one config format::
 
     witness-lab spectrum|witness|sweep|certify --config run.json
-                [--out results.csv] [--deg-tol X] [--var-tol X]
-    (spectrum and sweep also take [--levels K])
+                [--out results.csv] [--deg-tol X]
+    (spectrum and sweep also take [--levels K], certify [--var-tol X])
 
 The config is a single JSON document. The ``system`` block is mandatory;
 ``sweep`` (path direction plus grid) feeds the sweep and certify commands,
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffinePath, QubitSystem, build_hamiltonian
-from .separability import resolve_schmidt_tolerance
 from .spectrum import (
     DegenerateGroundError,
     eigenvalues,
@@ -60,6 +59,7 @@ from .spectrum import (
     require_positive_finite,
 )
 from .sweep import (
+    DEFAULT_VAR_TOL,
     SweepConfig,
     certify_entanglement_on_path,
     detect_anticrossings,
@@ -172,7 +172,7 @@ def _parse_grid(block: dict, where: str) -> np.ndarray:
     )
 
 
-_TOLERANCE_KEYS = ("deg_tol", "var_tol", "schmidt_tol")
+_TOLERANCE_KEYS = ("deg_tol", "var_tol")
 
 
 @dataclass(eq=False)
@@ -294,21 +294,18 @@ def load_config(path: str) -> RunConfig:
 
 def _resolve_tolerances(config: RunConfig, args) -> dict:
     """The run's tolerances: each command-line flag over its config key,
-    validated once for every command. ``schmidt_tol`` must lie in (0, 1),
-    the others must be positive and finite; ``None`` keeps the library
-    default."""
+    validated once for every command; each must be positive and finite.
+    ``None`` keeps the library default."""
     resolved = {}
     for key in _TOLERANCE_KEYS:
         value = getattr(args, key, None)
         if value is None:
             value = config.tolerances.get(key)
-        try:
-            if value is not None and key == "schmidt_tol":
-                value = resolve_schmidt_tolerance(value)
-            elif value is not None:
+        if value is not None:
+            try:
                 value = require_positive_finite(key, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         resolved[key] = value
     return resolved
 
@@ -345,20 +342,25 @@ def _cmd_witness(
     return EXIT_OK, rows, []
 
 
-def _sweep_result(config: RunConfig, levels: int | None, tol: dict, energies: bool):
+def _sweep_result(config: RunConfig, tol: dict, track_levels: int | None):
+    """The configured sweep, recording ``track_levels`` energies per point;
+    ``None`` (``certify``) records none, so ``sweep.track_levels`` is not
+    used."""
     if config.sweep_path is None or config.grid is None:
         raise ConfigError("this command requires a sweep block in the config")
-    track_levels = config.track_levels if levels is None else levels
     sweep_config = SweepConfig(
-        path=config.sweep_path, grid=config.grid, track_levels=track_levels
+        path=config.sweep_path,
+        grid=config.grid,
+        track_levels=2 if track_levels is None else track_levels,
     )
-    return run_sweep(sweep_config, deg_tol=tol["deg_tol"], energies=energies)
+    return run_sweep(sweep_config, tol["deg_tol"], energies=track_levels is not None)
 
 
 def _cmd_sweep(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
-    result = _sweep_result(config, args.levels, tol, energies=True)
+    levels = config.track_levels if args.levels is None else args.levels
+    result = _sweep_result(config, tol, levels)
     k = result.config.track_levels
     n = config.system.n
     header = (
@@ -390,12 +392,9 @@ def _cmd_certify(
     config: RunConfig, args, tol: dict
 ) -> tuple[int, list[str], list[str]]:
     # certify prints no energies: its sweep proves each point's gap instead
-    result = _sweep_result(config, None, tol, energies=False)
-    kwargs = {"deg_tol": tol["deg_tol"]}
-    for key in ("var_tol", "schmidt_tol"):
-        if tol[key] is not None:
-            kwargs[key] = tol[key]
-    report = certify_entanglement_on_path(result, **kwargs)
+    result = _sweep_result(config, tol, None)
+    var_tol = DEFAULT_VAR_TOL if tol["var_tol"] is None else tol["var_tol"]
+    report = certify_entanglement_on_path(result, var_tol)
     rows = ["i,j,var_i,var_j"]
     for i, j, var_i, var_j in report.certified_pairs:
         rows.append(f"{i},{j},{_fmt(var_i)},{_fmt(var_j)}")
@@ -435,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("spectrum", "sweep"):  # the commands that print energies
             cmd.add_argument("--levels", type=int, help="number of energy levels")
         cmd.add_argument("--deg-tol", type=float, dest="deg_tol")
-        cmd.add_argument("--var-tol", type=float, dest="var_tol")
+        if name == "certify":  # the one command that reads var_tol
+            cmd.add_argument("--var-tol", type=float, dest="var_tol")
         cmd.add_argument(
             "--echo-config",
             action="store_true",

@@ -25,24 +25,19 @@ agree with ``ground_states``' to rounding, not bitwise. The segments do not
 depend on the CPU count, so neither does the result.
 
 Up to dimension ``PARALLEL_MAX_DIM`` (64, n <= 6) the chunks are solved on
-every usable CPU: the calling thread and one helper thread per further CPU
-take the chunks, or a sweep without energies its whole segments, by stride.
-A chunk's solve is almost all LAPACK, which runs
-with the GIL released, so the threads overlap. The calling thread drains the
-solved chunks in grid order: it makes every ``sigma_z_profile`` call and
-every record, frees each chunk's vectors once recorded, and raises the
-exception of the first failing chunk, so the result and any error are
-bitwise those of one thread. From dimension 128 on, OpenBLAS's own threads
-collide with the helpers and a threaded sweep measured slower (n = 7..9),
-so those sweeps run on the calling thread alone. On top of a sweep result:
+every usable CPU (see ``run_sweep``). A chunk's solve is almost all LAPACK,
+which runs with the GIL released, so the threads overlap. From dimension 128
+on, OpenBLAS's own threads collide with the helpers and a threaded sweep
+measured slower (n = 7..9), so those sweeps run on the calling thread alone.
+On top of a sweep result:
 
 * ``detect_anticrossings`` reports interior local minima of the gap, refined
   by a three-point parabolic fit, and
 * ``certify_entanglement_on_path`` certifies ground-state entanglement for
   every pair that stays coupled on the whole grid and whose ``<sz>``
   trajectories both change along the path, provided no grid point is
-  degenerate and no classical qubit's ``<sz>`` flips — cross-checked against
-  the Schmidt-decomposition oracle.
+  degenerate and no classical qubit's ``<sz>`` flips, and names a grid
+  point whose ground state is entangled by the structure of the couplings.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ import numpy as np
 
 from .model import AffinePath, build_hamiltonians
 from .observables import sigma_z_profile
-from .separability import SCHMIDT_TOL, is_fully_separable, resolve_schmidt_tolerance
 from .spectrum import ground_states, prove_ground_states, require_positive_finite
 from .witness import coupled_pairs
 
@@ -139,15 +133,10 @@ def _usable_cpus() -> int:
 def run_sweep(
     config: SweepConfig, deg_tol: float | None = None, energies: bool = True
 ) -> SweepResult:
-    """Evaluate the sweep over its grid, in grid order.
-
-    The path's coefficients and Hamiltonians are built for a chunk of grid
-    points at once, ``SWEEP_CHUNK_BYTES`` of matrices per chunk, so no
-    ``QubitSystem`` is made per point, and each chunk is solved by one
-    ``ground_states`` call and one ``sigma_z_profile`` call for all its
-    nondegenerate points. A point's record is bitwise what ``ground_states``
-    and ``sigma_z_profile`` give for ``build_hamiltonian(path.at(lam))``
-    alone. A degenerate point gets ``degenerate=True`` and NaN ``sz``.
+    """Evaluate the sweep over its grid, chunk by chunk (see the module
+    docstring). A point's record is bitwise what ``ground_states`` and
+    ``sigma_z_profile`` give for ``build_hamiltonian(path.at(lam))`` alone.
+    A degenerate point gets ``degenerate=True`` and NaN ``sz``.
 
     ``energies=False`` (the ``certify`` route) records NaN ``energies`` and
     ``gap``. It proves every chunk but a segment's first with
@@ -159,11 +148,12 @@ def run_sweep(
     threads, one per usable CPU but no more than there are units of work:
     chunks, or with ``energies=False`` whole segments, whose warm starts
     run in grid order. The calling thread solves units ``u`` with ``u % W
-    == 0`` and helper threads the others. The calling thread takes the
-    solved chunks in grid order and makes every ``sigma_z_profile`` call,
-    so the records and the exception raised (that of the first failing
-    chunk) do not depend on ``W``. Helpers are joined before this returns
-    or raises.
+    == 0`` and helper threads the others. Every worker makes its chunks'
+    records itself, so no chunk keeps its ground vectors, and stops at its
+    first failing chunk. The calling thread joins the helpers, then
+    concatenates the records in grid order and raises the first exception
+    it meets, that of the first failing chunk, so neither the records nor
+    the exception depend on ``W``.
     """
     path, grid = config.path, config.grid
     dim = 1 << path.n
@@ -174,8 +164,8 @@ def run_sweep(
     workers = 1 if dim > PARALLEL_MAX_DIM else min(len(units), _usable_cpus())
 
     def solve(k, warm):
-        """Chunk ``k``'s levels, ground vectors and degenerate flags, and the
-        warm start of the next chunk of its segment."""
+        """Chunk ``k``'s records, and the warm start of the next chunk of
+        its segment."""
         lams = grid[starts[k] : starts[k] + chunk]
         H = build_hamiltonians(*path.coefficients(lams))
         if energies or warm is None:
@@ -188,65 +178,51 @@ def run_sweep(
                 _, vectors[rest], degenerate[rest] = ground_states(H[rest], deg_tol)
         if not energies:
             levels = np.full((lams.size, config.track_levels), np.nan)
+        sz = np.full((lams.size, path.n), np.nan)
+        sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
+        gaps = levels[:, 1] - levels[:, 0]
+        levels = levels[:, : config.track_levels].copy()
+        flags = degenerate.tolist()
+        points = list(map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags))
         live = np.flatnonzero(~degenerate)
-        return (levels, vectors, degenerate), (vectors[live[-1]] if live.size else warm)
+        return points, (vectors[live[-1]] if live.size else warm)
 
-    # Plain threads, not a concurrent.futures.ThreadPoolExecutor: executor
-    # versions gave the same records but were no faster on the n = 6,
-    # 2001-point certify benchmark on a 2-CPU host (1.10 and 1.18 against
-    # 1.28 ops/s in one series, 1.19 against 1.17 in another, within
-    # noise), took 0.4-1.8 MB more peak RSS, and the import costs 5-8 ms.
-    solved = [None] * len(starts)  # a helper's result or exception, until taken
-    ready = threading.Condition()
-    stop = threading.Event()
+    # Plain threads: a concurrent.futures executor gave the same records, no
+    # speed-up on the n = 6 certify benchmark on a 2-CPU host, 0.4-1.8 MB
+    # more peak RSS, and 5-8 ms of import time.
+    solved = [None] * len(starts)  # each chunk's records, or its exception
+    stop = threading.Event()  # set only when the calling thread is interrupted
 
-    def helper(first):
+    def work(first):
         for u in range(first, len(units), workers):
             warm = None
             for k in range(units[u], min(units[u] + span, len(starts))):
                 if stop.is_set():
                     return
                 try:
-                    result, warm = solve(k, warm)
+                    solved[k], warm = solve(k, warm)
                 except Exception as exc:  # raised by the calling thread, in grid order
-                    result = exc
-                with ready:
-                    solved[k] = result
-                    ready.notify()
-                if isinstance(result, Exception):
+                    solved[k] = exc
                     return
 
     helpers = []
-    points = []
     try:
         for first in range(1, workers):
-            thread = threading.Thread(target=helper, args=(first,))
+            thread = threading.Thread(target=work, args=(first,))
             thread.start()
             helpers.append(thread)
-        for k, start in enumerate(starts):
-            if k % span == 0:
-                warm = None
-            if k // span % workers == 0:
-                result, warm = solve(k, warm)
-            else:
-                with ready:
-                    while solved[k] is None:
-                        ready.wait()
-                result, solved[k] = solved[k], None
-                if isinstance(result, Exception):
-                    raise result
-            levels, vectors, degenerate = result
-            lams = grid[start : start + chunk]
-            sz = np.full((lams.size, path.n), np.nan)
-            sz[~degenerate] = sigma_z_profile(vectors[~degenerate])
-            gaps = levels[:, 1] - levels[:, 0]
-            levels = levels[:, : config.track_levels].copy()
-            flags = degenerate.tolist()
-            points += map(SweepPoint, lams.tolist(), levels, gaps.tolist(), sz, flags)
-    finally:
+        work(0)
+    except BaseException:
         stop.set()
+        raise
+    finally:
         for thread in helpers:
             thread.join()
+    points = []
+    for records in solved:
+        if isinstance(records, Exception):
+            raise records
+        points += records
     return SweepResult(config=config, points=points)
 
 
@@ -293,8 +269,10 @@ class CertificationReport:
     ``certified_pairs`` holds ``(i, j, var_i, var_j)`` for every coupled pair
     whose ``<sz>`` total variations both exceed the threshold; it is only
     ever populated when ``path_nondegenerate`` is true.
-    ``oracle_confirmation`` is a grid value where the Schmidt oracle found
-    the ground state non-separable, or ``None`` if not searched or not found.
+    ``oracle_confirmation`` is a grid value at which the ground state is
+    entangled across ``{i}|rest`` for a certified pair ``(i, j)``, by the
+    coupling structure (``_entangled_point``), or ``None`` if nothing is
+    certified.
     """
 
     certified_pairs: list[tuple[int, int, float, float]]
@@ -309,53 +287,71 @@ def _coupled_everywhere(result: SweepResult) -> np.ndarray:
     return coupled_pairs(J).all(axis=0)
 
 
-def _find_nonseparable_point(
-    result: SweepResult, deg_tol: float | None, schmidt_tol: float
-) -> float | None:
-    # Search the steps between neighbouring points from the largest <sz>
-    # change down: entanglement is most likely where the spins turn, at an
-    # anticrossing. A sweep without energies has no gaps, so the two points
-    # of a step are solved together and tried in ascending-gap order, which
-    # usually ends the search at the sweep's smallest gap after one solve.
-    lams = result.lambdas
+def _entangled_point(result: SweepResult, pairs: np.ndarray) -> float | None:
+    """The first grid value at which both qubits of some pair ``(i, j)`` in
+    ``pairs`` are quantum (``delta != 0``), or ``None``. The steps between
+    neighbouring points are taken from the largest ``sum_i |change of
+    <sz_i>|`` down, where the spins turn, and each step's two points in
+    grid order.
+
+    Every pair in ``pairs`` is coupled at every grid point, and no point is
+    degenerate, so the ground state there is entangled across ``{i}|rest``
+    by this rule: call qubit ``q`` quantum if ``delta_q != 0`` and classical
+    otherwise; a nondegenerate ground state is entangled across a cut A|B
+    if and only if some ``J_kl != 0`` joins a quantum ``k`` in A to a
+    quantum ``l`` in B. Every off-diagonal entry of H is ``-delta_q / 2``,
+    on one bit flip. Proof sketch:
+
+    * Each classical ``sz_c`` commutes with H, so ``psi = |s_C> (x) phi_Q``
+      with ``phi_Q`` the unique ground state of the quantum qubits under
+      the biases ``h_q - sum_c J_qc s_c``.
+    * Conjugating by ``sz_q`` for every ``q`` with ``delta_q < 0`` makes
+      every off-diagonal entry ``-|delta_q| / 2 <= 0``. These entries join
+      every two basis states one quantum bit apart, so the matrix is
+      irreducible, and by Perron-Frobenius ``phi_Q`` is entrywise positive.
+      The gauge is a product of local unitaries and changes no
+      entanglement.
+    * If no coupling joins the quantum parts of A and B, ``H_Q`` splits
+      and ``phi_Q`` is a product.
+    * Conversely, let ``phi_Q = phi_A (x) phi_B``. The ``(A-perp (x)
+      B-perp)`` component of ``H psi = E psi`` reads ``sum J_kl a_k (x) b_l
+      = 0`` with ``a_k = (sz_k - <sz_k>) phi_A``. ``phi_A`` has no zero
+      entry, so the ``a_k`` are linearly independent (a ``sum c_k s_k``
+      constant on every sign vector has ``c = 0``), and so are the ``b_l``.
+      Hence every crossing ``J_kl`` is 0.
+
+    Refs: Horn & Johnson, *Matrix Analysis*, ch. 8 (Perron-Frobenius);
+    Bravyi, DiVincenzo, Oliveira & Terhal, arXiv:quant-ph/0606140
+    (stoquastic Hamiltonians). No solve and no tolerance is needed.
+    """
+    grid = result.config.grid
+    quantum = result.config.path.coefficients(grid)[0] != 0.0
+    entangled = (quantum[:, pairs[:, 0]] & quantum[:, pairs[:, 1]]).any(axis=1)
     steps = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=1)
-    tried = np.zeros(lams.size, dtype=bool)
-    for k in np.argsort(-steps, kind="stable"):
-        pair = [p for p in (k, k + 1) if not tried[p]]
-        tried[pair] = True
-        if not pair:
-            continue
-        H = build_hamiltonians(*result.config.path.coefficients(lams[pair]))
-        energies, vectors, degenerate = ground_states(H, deg_tol)
-        for j in np.argsort(energies[:, 1] - energies[:, 0], kind="stable"):
-            if not degenerate[j] and not is_fully_separable(vectors[j], schmidt_tol):
-                return float(lams[pair[j]])
-    return None
+    order = np.argsort(-steps, kind="stable")
+    visits = np.column_stack([order, order + 1]).ravel()
+    hits = visits[entangled[visits]]
+    return float(grid[hits[0]]) if hits.size else None
 
 
 def certify_entanglement_on_path(
-    result: SweepResult,
-    var_tol: float = DEFAULT_VAR_TOL,
-    deg_tol: float | None = None,
-    schmidt_tol: float = SCHMIDT_TOL,
+    result: SweepResult, var_tol: float = DEFAULT_VAR_TOL
 ) -> CertificationReport:
     """Certify ground-state entanglement from ``<sz>`` trajectories.
 
     A nondegenerate ground state that stays completely separable along a
     continuous path cannot have both ``<sz_i>`` and ``<sz_j>`` of a coupled
     pair change, so a pair certifies when both total variations exceed
-    ``var_tol``. Any degenerate grid point voids certification for the whole
-    path. So does a level crossing between grid points that a classical
-    qubit reveals: a qubit with ``delta_i = 0`` on the whole path has a
-    conserved ``sz_i``, so its ``<sz_i>`` is +-1 at every nondegenerate
-    point, and a flip between any two points means the lowest levels of its
-    two sectors swap order in between. A positive finding is cross-checked
-    by locating a grid point whose ground state the Schmidt oracle marks as
-    non-separable. ``var_tol`` must be positive and finite and
-    ``schmidt_tol`` in (0, 1).
+    ``var_tol``, which must be positive and finite. Any degenerate grid
+    point voids certification for the whole path. So does a level crossing
+    between grid points that a classical qubit reveals: a qubit with
+    ``delta_i = 0`` on the whole path has a conserved ``sz_i``, so its
+    ``<sz_i>`` is +-1 at every nondegenerate point, and a flip between any
+    two points means the lowest levels of its two sectors swap order in
+    between. A positive finding names a grid point whose ground state is
+    entangled by the coupling structure (``_entangled_point``).
     """
     var_tol = require_positive_finite("var_tol", var_tol)
-    schmidt_tol = resolve_schmidt_tolerance(schmidt_tol)
     path = result.config.path
     classical = (path.base.delta == 0.0) & (path.direction.delta == 0.0)
     sz = result.sz_trajectories
@@ -371,11 +367,8 @@ def certify_entanglement_on_path(
     certified = [
         (i, j, float(variations[i]), float(variations[j])) for i, j in pairs.tolist()
     ]
-    confirmation = None
-    if certified:
-        confirmation = _find_nonseparable_point(result, deg_tol, schmidt_tol)
     return CertificationReport(
         certified_pairs=certified,
         path_nondegenerate=True,
-        oracle_confirmation=confirmation,
+        oracle_confirmation=_entangled_point(result, pairs) if certified else None,
     )

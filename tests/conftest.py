@@ -6,6 +6,8 @@ library code they check. The finite-difference oracles take another route
 to the same susceptibilities: central differences of the ground state's
 ``<sz_i>`` under a displaced coefficient, instead of a sum over excited
 states or a linear-response solve. Their step rule lives here with them.
+``structurally_entangled`` answers per cut, from the coefficients alone,
+what the Schmidt decomposition answers from the state.
 """
 
 import numpy as np
@@ -196,3 +198,16 @@ def per_cut_w_tilde(system, chi, cut):
             if crosses(cut, i, j) and coupled[i, j]:
                 total += system.J[i, j] * chi[i, j]
     return total
+
+
+def structurally_entangled(system, cut):
+    """True when a nondegenerate ground state of ``system`` is entangled
+    across ``cut``: some ``J_kl != 0`` joins two quantum qubits
+    (``delta != 0``) on opposite sides (Perron-Frobenius; the proof sketch
+    is in ``witness_lab.sweep._entangled_point``)."""
+    quantum = np.asarray(system.delta) != 0.0
+    return any(
+        system.J[k, l] != 0.0 and quantum[k] and quantum[l] and crosses(cut, k, l)
+        for k in range(system.n)
+        for l in range(k + 1, system.n)
+    )

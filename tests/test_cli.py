@@ -520,6 +520,17 @@ class TestCertifyCommand:
         assert code == 2
         assert "deg_tol must be positive" in err
 
+    @pytest.mark.parametrize("track_levels", [1, 5, 2])
+    def test_track_levels_is_not_used(self, tmp_path, capsys, track_levels):
+        # certify records no energies; sweep refuses 1 and 5 at n = 2
+        doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "track_levels": track_levels}}
+        cfg = write_config(tmp_path, doc)
+        code, out, err = run_cli(capsys, "certify", "--config", cfg)
+        default = write_config(tmp_path, FM_PAIR, "ok.json")
+        assert (code, out, err) == run_cli(capsys, "certify", "--config", default)
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == (0 if track_levels == 2 else 2)
+
     def test_degenerate_path_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CLASSICAL_DEGENERATE)
         code, out, _ = run_cli(capsys, "certify", "--config", cfg)
@@ -563,12 +574,22 @@ class TestTolerances:
 
     @pytest.mark.parametrize("value", ["1e999", "1.0", "0.0", "-1e-7"])
     def test_schmidt_tol_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        # schmidt_tol left with the Schmidt search of certify: an unknown
+        # key, whatever its value
         text = json.dumps(FM_PAIR)[:-1] + f', "tolerances": {{"schmidt_tol": {value}}}}}'
         path = tmp_path / "run.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, "certify", "--config", str(path))
         assert code == 2
-        assert "schmidt_tol must be in (0, 1)" in err
+        assert err == "config error: unknown key(s) in tolerances: schmidt_tol\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_schmidt_tol_exits_2_on_every_command(self, tmp_path, capsys, command):
+        doc = {**CONSTANT_PATH, "tolerances": {"schmidt_tol": 1e-7}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert err == "config error: unknown key(s) in tolerances: schmidt_tol\n"
         assert out == ""
 
     @pytest.mark.parametrize("command", ["certify", "witness"])
@@ -602,6 +623,8 @@ class TestTolerances:
     def test_invalid_flag_exits_2(self, tmp_path, capsys, command, key, value, message):
         cfg = write_config(tmp_path, CONSTANT_PATH)
         flag = "--" + key.replace("_", "-")
+        if key == "var_tol" and command != "certify":  # only certify reads it
+            message = f"unrecognized arguments: {flag}={value}"
         try:
             code = main([command, "--config", cfg, f"{flag}={value}"])
         except SystemExit as exc:  # argparse exits on an unknown flag
@@ -614,14 +637,26 @@ class TestTolerances:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_valid_flag_overrides_invalid_config_value(self, tmp_path, capsys, command):
-        doc = {**CONSTANT_PATH, "tolerances": {"var_tol": -1.0}}
+        # --var-tol exists on certify only; --deg-tol on every command
+        key = "var_tol" if command == "certify" else "deg_tol"
+        doc = {**CONSTANT_PATH, "tolerances": {key: -1.0}}
         cfg = write_config(tmp_path, doc)
-        code, _, err = run_cli(capsys, command, "--config", cfg, "--var-tol", "0.1")
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run_cli(capsys, command, "--config", cfg, flag, "0.1")
         assert code in (0, 1)
         assert err == ""
 
+    @pytest.mark.parametrize("command", ["spectrum", "witness", "sweep"])
+    def test_invalid_config_var_tol_exits_2_on_every_command(self, tmp_path, capsys, command):
+        # the config key stays shared: it is checked whichever command runs
+        doc = {**CONSTANT_PATH, "tolerances": {"var_tol": -1.0}}
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert code == 2
+        assert "var_tol must be positive and finite" in err
+        assert out == ""
+
     def test_echo_config_rejects_invalid_tolerance(self, tmp_path, capsys):
-        doc = {**CONSTANT_PATH, "tolerances": {"schmidt_tol": 2.0}}
+        doc = {**CONSTANT_PATH, "tolerances": {"var_tol": -2.0}}
         cfg = write_config(tmp_path, doc)
         code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--echo-config")
         assert code == 2

@@ -4,8 +4,9 @@ Every document gets one of the documented exit codes, 0 to 3, and no
 traceback: an uncaught exception (including a numpy ``RuntimeWarning``, which
 the test configuration turns into an error) fails the example. A document
 that carries a key the format no longer has (``format``,
-``tolerances.fd_step``), or a run with the removed ``--fd-step`` flag, exits
-2. Documents stay small, at most 4 qubits and 5 grid points, so no example
+``tolerances.fd_step``, ``tolerances.schmidt_tol``), or a run with the
+removed ``--fd-step`` flag or with ``--var-tol`` on a command other than
+``certify``, exits 2. Documents stay small, at most 4 qubits and 5 grid points, so no example
 allocates more than a few MB; an oversized ``grid.num`` must be refused
 before its grid is built. Generation is derandomized, so every run checks
 the same examples.
@@ -87,8 +88,8 @@ def valid_documents(draw):
             "lambda0": draw(lambda0s),
         }
     if draw(st.booleans()):
-        keys = st.sampled_from(["deg_tol", "var_tol", "schmidt_tol"])
-        doc["tolerances"] = draw(st.dictionaries(keys, st.floats(1e-12, 0.5), max_size=3))
+        keys = st.sampled_from(["deg_tol", "var_tol"])
+        doc["tolerances"] = draw(st.dictionaries(keys, st.floats(1e-12, 0.5), max_size=2))
     return doc
 
 
@@ -174,14 +175,14 @@ def _run(argv, doc):
 
 def _add_removed_key(doc, key):
     """Put a key the config format no longer has into ``doc``: a top-level
-    ``format`` or ``tolerances.fd_step``. ``False`` when ``doc`` has no
-    object to hold it."""
+    ``format``, or ``fd_step`` or ``schmidt_tol`` in ``tolerances``.
+    ``False`` when ``doc`` has no object to hold it."""
     if not isinstance(doc, dict):
         return False
     if key == "format":
         doc["format"] = "csv"
     elif isinstance(doc.setdefault("tolerances", {}), dict):
-        doc["tolerances"]["fd_step"] = 1e-4
+        doc["tolerances"][key] = 1e-4
     return True
 
 
@@ -190,7 +191,7 @@ def _add_removed_key(doc, key):
     doc=documents(),
     command=st.sampled_from(["spectrum", "witness", "sweep", "certify"]),
     levels=st.none() | st.none() | st.integers(-1, 17),
-    removed=st.sampled_from([None] * 8 + ["format", "fd_step"]),
+    removed=st.sampled_from([None] * 8 + ["format", "fd_step", "schmidt_tol"]),
 )
 def test_every_document_gets_a_documented_exit_code(doc, command, levels, removed):
     argv = [command]
@@ -243,12 +244,14 @@ flag_values = (
 )
 def test_every_tolerance_flag_gets_a_documented_exit_code(command, doc, flags, num):
     # "--flag=value", so argparse takes "-inf" as a value, not an option.
-    # --fd-step is no flag: argparse refuses it with exit 2.
+    # --fd-step is no flag, and --var-tol one of certify only: argparse
+    # refuses them with exit 2.
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
     oversized = num is not None and "sweep" in doc
     if oversized:
         doc["sweep"]["grid"] = {"start": -1.0, "stop": 1.0, "num": num}
     code, _ = _run(argv, doc)
-    if oversized or "--fd-step" in flags:
+    refused = "--fd-step" in flags or ("--var-tol" in flags and command != "certify")
+    if oversized or refused:
         assert code == 2
     event(f"exit {code}" + (", oversized grid" if oversized else ""))

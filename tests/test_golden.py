@@ -46,6 +46,14 @@ CASES = {
     # --levels belongs to the commands that print energies
     "witness_levels_rejected": (["witness", "--levels", "1"], "triangle.json"),
     "certify_levels_rejected": (["certify", "--levels", "2"], "fm_pair.json"),
+    # certify records no energies, so sweep.track_levels is not used ...
+    "certify_track_levels_ignored": (["certify"], "fm_pair_track_levels_1.json"),
+    # ... while sweep, which prints them, still needs at least two
+    "sweep_track_levels_rejected": (["sweep"], "fm_pair_track_levels_1.json"),
+    # schmidt_tol left with the Schmidt search of certify: an unknown key
+    "certify_schmidt_tol_rejected": (["certify"], "fm_pair_schmidt_tol.json"),
+    # --var-tol belongs to certify, the one command that reads it
+    "witness_var_tol_rejected": (["witness", "--var-tol", "1"], "triangle.json"),
 }
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from conftest import complement, sigma_z_expectation
+from conftest import complement, sigma_z_expectation, structurally_entangled
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from witness_lab import (
     SCHMIDT_TOL,
     Bipartition,
+    DegenerateGroundError,
     QubitSystem,
     build_hamiltonian,
     check_pinned_pairs,
@@ -14,6 +17,7 @@ from witness_lab import (
     is_separable,
 )
 from witness_lab.separability import schmidt_coefficients
+from witness_lab.witness import enumerate_bipartitions
 
 
 def basis_state(n, index):
@@ -186,3 +190,43 @@ def test_schmidt_tol_outside_unit_interval_rejected(tol):
     state = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="schmidt_tol must be in"):
         is_fully_separable(state, tol)
+
+
+magnitudes = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
+
+
+@st.composite
+def systems_with_classical_qubits(draw):
+    """n = 2..6 qubits, each classical (delta = 0) with probability 1/4,
+    half of the couplings zero."""
+    n = draw(st.integers(2, 6))
+    delta = [
+        0.0 if draw(st.sampled_from([True, False, False, False])) else draw(magnitudes)
+        for _ in range(n)
+    ]
+    h = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    J = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                J[i, j] = J[j, i] = draw(magnitudes)
+    return QubitSystem(delta=delta, h=h, J=J)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(systems_with_classical_qubits())
+def test_structural_rule_matches_schmidt_coefficients(system):
+    # Each way: a cut the rule calls a product has a second Schmidt
+    # coefficient of at most 1e-10, an entangled one at least 1e-9.
+    # Degenerate draws, two classical sectors tying, are skipped.
+    spec = diagonalize(build_hamiltonian(system))
+    try:
+        vector = ground_state(spec).vector
+    except DegenerateGroundError:
+        assume(False)
+    for cut in enumerate_bipartitions(system.n):
+        second = schmidt_coefficients(vector, cut)[1]
+        if structurally_entangled(system, cut):
+            assert second >= 1e-9, (cut, second)
+        else:
+            assert second <= 1e-10, (cut, second)

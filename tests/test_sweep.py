@@ -192,7 +192,9 @@ class TestRunSweep:
         config = SweepConfig(path=fm_chain_path(n), grid=np.linspace(-1.0, 1.0, size))
         result = run_sweep(config)
         assert len(result.points) == size
-        assert calls == [(chunk_points(n), 1 << n)] * 2 + [(3, 1 << n)]
+        # each worker makes its own chunks' records, so the calls may come
+        # in any order
+        assert sorted(calls) == [(3, 1 << n)] + [(chunk_points(n), 1 << n)] * 2
 
     def test_gap_continuity_on_smooth_path(self):
         config = SweepConfig(path=single_qubit_path(0.5), grid=np.linspace(-1, 1, 101))
@@ -398,6 +400,30 @@ class TestThreadedSweep:
             assert len(started) == workers - 1
             assert not any(thread.is_alive() for thread in started)
         assert capfd.readouterr() == ("", "")
+
+    def test_interrupt_of_the_calling_thread_stops_the_helpers(self, monkeypatch):
+        # The calling thread is interrupted on its first chunk; the helper,
+        # slowed down, must stop at its next chunk instead of finishing its
+        # 50 chunks, and be joined before the interrupt propagates.
+        caller = threading.current_thread()
+        original = sweep_module.ground_states
+        helper_chunks = []
+
+        def interrupted(*args):
+            if threading.current_thread() is caller:
+                raise KeyboardInterrupt
+            helper_chunks.append(1)
+            time.sleep(0.01)
+            return original(*args)
+
+        monkeypatch.setattr(sweep_module, "ground_states", interrupted)
+        config = SweepConfig(path=fm_chain_path(6), grid=np.linspace(-1.0, 1.0, 800))
+        pin_workers(monkeypatch, 2)
+        started = record_thread_starts(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(config)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert len(helper_chunks) < 10
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_no_thread_above_parallel_dimension(self, monkeypatch, n):
@@ -631,9 +657,9 @@ class TestCertification:
         for var_tol in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="var_tol"):
                 certify_entanglement_on_path(result, var_tol=var_tol)
-        for schmidt_tol in (0.0, 1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="schmidt_tol"):
-                certify_entanglement_on_path(result, schmidt_tol=schmidt_tol)
+        # the confirming point comes from structure: no Schmidt tolerance
+        with pytest.raises(TypeError, match="schmidt_tol"):
+            certify_entanglement_on_path(result, schmidt_tol=1e-7)
 
     def test_fm_pair_certifies_with_oracle_confirmation(self):
         config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-2, 2, 201))
@@ -710,9 +736,9 @@ class TestCertification:
         assert report.path_nondegenerate
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_oracle_starts_at_the_smallest_gap(self, seed):
-        # A sharp anticrossing: the step of largest <sz> change brackets the
-        # smallest gap of the grid, which the oracle confirms first.
+    def test_oracle_lambda_ends_the_steepest_step(self, seed):
+        # Every qubit is quantum on the whole path, so the first point of
+        # the step of largest <sz> change is the confirming point.
         rng = np.random.default_rng(seed)
         n = 4
         couplings = [(i, i + 1, -float(rng.uniform(0.8, 1.2))) for i in range(n - 1)]
@@ -720,9 +746,33 @@ class TestCertification:
             rng.uniform(0.3, 0.5, n), rng.uniform(-0.1, 0.1, n), couplings
         )
         config = SweepConfig(path=uniform_bias_path(base), grid=np.linspace(-1, 1, 401))
-        gaps = run_sweep(config).gaps
-        report = certify_entanglement_on_path(run_sweep(config, energies=False))
-        assert report.oracle_confirmation == config.grid[np.argmin(gaps)]
+        result = run_sweep(config, energies=False)
+        report = certify_entanglement_on_path(result)
+        steps = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=1)
+        lam = report.oracle_confirmation
+        assert lam == config.grid[np.argmax(steps)]
+        delta = config.path.at(lam).delta
+        assert any(delta[i] != 0.0 and delta[j] != 0.0 for i, j, _, _ in report.certified_pairs)
+
+    def test_oracle_lambda_skips_a_point_where_the_pair_is_classical(self):
+        # delta_0 = lambda vanishes at 0.0, the first point of the steepest
+        # step, across which qubit 1 flips. There the ground state is a
+        # product, so the rule takes the step's second point.
+        base = QubitSystem.from_couplings([0.0, 0.05], [0.3, -0.35], [(0, 1, -0.5)])
+        direction = QubitSystem(delta=[1.0, 0.0], h=[0.0, 1.0], J=np.zeros((2, 2)))
+        config = SweepConfig(
+            path=AffinePath(base=base, direction=direction), grid=np.linspace(-1, 1, 21)
+        )
+        result = run_sweep(config, energies=False)
+        steps = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=1)
+        k = int(np.argmax(steps))
+        assert config.grid[k] == 0.0
+        report = certify_entanglement_on_path(result)
+        assert [pair[:2] for pair in report.certified_pairs] == [(0, 1)]
+        assert report.oracle_confirmation == config.grid[k + 1]
+        for lam, product in ((config.grid[k], True), (config.grid[k + 1], False)):
+            spec = diagonalize(build_hamiltonian(config.path.at(lam)))
+            assert is_fully_separable(ground_state(spec).vector) == product
 
     def test_degenerate_path_voids_certification(self):
         base = QubitSystem.from_couplings([0.0, 0.0], [0.0, 0.0], [(0, 1, -1.0)])
