@@ -224,10 +224,14 @@ def build_hamiltonians(delta: np.ndarray, h: np.ndarray, J: np.ndarray) -> np.nd
     ``delta`` and ``h`` have shape ``(m, n)`` and ``J`` has shape
     ``(m, n, n)``, as ``AffinePath.coefficients`` returns them; the result
     has shape ``(m, 2^n, 2^n)``. The coefficients must already be valid
-    (finite, ``J`` symmetric with zero diagonal). The transverse part places
-    ``-delta_i/2`` at index pairs differing in exactly the bit of qubit
-    ``i``, all qubits in one scatter; the diagonal carries the bias and
-    coupling terms.
+    (finite, ``J`` symmetric with zero diagonal, ``n <= MAX_QUBITS``), as
+    ``QubitSystem`` and ``AffinePath.coefficients`` leave them; a diagonal
+    that overflows raises ``ValueError``. So every matrix returned is
+    finite, symmetric and of dimension at most 4096, and the dense solvers
+    that take built Hamiltonians do not validate them again. The transverse
+    part places ``-delta_i/2`` at index pairs differing in exactly the bit
+    of qubit ``i``, all qubits in one scatter; the diagonal carries the bias
+    and coupling terms.
     """
     m, n = delta.shape
     dim = 1 << n
@@ -251,15 +255,16 @@ def hamiltonian_diagonal(system: QubitSystem) -> np.ndarray:
 def hamiltonian_diagonals(h: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Diagonals of a batch of Hamiltonians, shape ``(m, 2^n)``: the bias and
     coupling terms, accumulated in the canonical order (all biases, then
-    pairs ``i < j``). A sum beyond the float range becomes inf without a
-    numpy warning; ``diagonalize`` rejects the matrix for it."""
+    pairs ``i < j``). ``ValueError`` when a sum overflows the float range."""
     m, n = h.shape
     signs = sigma_z_table(n)
     diag = np.zeros((m, 1 << n))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # reported below
         for i in range(n):
             diag += -h[:, i, None] * signs[i]
         for i in range(n):
             for j in range(i + 1, n):
                 diag += J[:, i, j, None] * (signs[i] * signs[j])
+    if not np.isfinite(diag).all():
+        raise ValueError("matrix must contain only finite values")
     return diag

@@ -10,9 +10,7 @@ a direction, the path response, all from one ground-state solve:
 * below ``KRYLOV_MIN_DIM``, one dense eigendecomposition and one sum over
   excited states feeding both responses (``spectrum_response``),
   ``chi_ij = sum_{k>0} 2 <0|sz_i|k><k|sz_j|0> / (E_k - E_0)`` and
-  ``d<sz_i>/dlambda = -2 sum_{k>0} <0|sz_i|k><k|V|0> / (E_k - E_0)``; a
-  ground state asked for without either response comes from
-  ``spectrum.dense_ground_state``, which computes no excited vector;
+  ``d<sz_i>/dlambda = -2 sum_{k>0} <0|sz_i|k><k|V|0> / (E_k - E_0)``;
 * at and above it, the matrix-free linear-response solves in ``krylov``
   around one Lanczos ground state, with the dense route as the fallback
   whenever a Krylov solve does not converge.
@@ -40,13 +38,7 @@ from .krylov import (
     krylov_susceptibility,
 )
 from .model import AffinePath, QubitSystem, build_hamiltonian, sigma_z_table
-from .spectrum import (
-    GroundState,
-    Spectrum,
-    dense_ground_state,
-    diagonalize,
-    ground_state,
-)
+from .spectrum import GroundState, Spectrum, diagonalize, ground_state
 
 NORM_TOL = 1e-9
 
@@ -167,22 +159,18 @@ def _solve(
     """Gated ground state, ``chi`` (when ``chi``) and the path response along
     ``direction`` (when given), all from one ground-state solve.
 
-    Lanczos and CG at dimension ``KRYLOV_MIN_DIM`` and above; one dense
-    solve below it, or when any Krylov step returns ``None``, so every part
-    of one result comes from the same route. A dense solve that needs no
-    response is ``dense_ground_state``, which computes no excited vector;
-    otherwise it is one full eigendecomposition, and then ``chi`` is always
-    returned, since it costs little next to its sum over states.
+    Lanczos and CG at dimension ``KRYLOV_MIN_DIM`` and above; one full
+    dense eigendecomposition below it, or when any Krylov step returns
+    ``None``, so every part of one result comes from the same route. The
+    dense route always returns ``chi``, since it costs little next to its
+    sum over states.
     """
     if system.dim >= KRYLOV_MIN_DIM:
         ground = krylov_ground_state(system, deg_tol)
         parts = None if ground is None else _krylov_parts(system, ground, chi, direction)
         if parts is not None:
             return ground, *parts
-    H = build_hamiltonian(system)
-    if not chi and direction is None:
-        return dense_ground_state(H, deg_tol), None, None
-    return spectrum_response(diagonalize(H), deg_tol, direction)
+    return spectrum_response(diagonalize(build_hamiltonian(system)), deg_tol, direction)
 
 
 def ground_response(

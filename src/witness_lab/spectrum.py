@@ -1,20 +1,23 @@
 """Dense symmetric eigensolvers with deterministic conventions, and the
 degeneracy gate every ground-state route passes through.
 
+``_tolerance`` resolves every degeneracy tolerance and ``_fix_signs`` makes
+every eigenvector's largest-magnitude entry positive. Only ``diagonalize``,
+which takes matrices from outside the library, validates its input; the
+other solvers take ``model``'s Hamiltonians, valid by construction.
+
 * ``diagonalize`` computes the full decomposition. Only the sum-over-states
   susceptibility needs it, because it sums over every excited state.
-* ``eigenvalues`` computes the energies alone, for one matrix or a stack:
-  the ``spectrum`` command prints them and takes its gap from them.
+* ``eigenvalues`` computes the energies alone, for a stack of matrices: the
+  ``spectrum`` command prints them and takes its gap from them.
 * ``ground_states`` adds arrays to those energies, for a stack of matrices:
   the ground vectors and the ``degenerate`` mask of one ``gap_gate`` call
-  over the stack. ``sweep`` and every dense solve that needs no
-  susceptibility use it (``dense_ground_state`` is its one-matrix case), and
-  a ``sweep`` record is bitwise what it gives. No excited eigenvector is
-  computed. Each ground vector comes from shifted inverse iteration and must
-  pass a true-residual check; a point whose solve fails or whose check fails
-  takes its vector, and only its vector, from ``diagonalize``, so no
-  unverified vector is returned and every point is gated once, on the
-  energies it reports.
+  over the stack. ``sweep`` uses it, and a ``sweep`` record is bitwise what
+  it gives. No excited eigenvector is computed. Each ground vector comes
+  from shifted inverse iteration and must pass a true-residual check; a
+  point whose solve fails or whose check fails takes its vector, and only
+  its vector, from ``diagonalize``, so no unverified vector is returned and
+  every point is gated once, on the energies it reports.
 * ``prove_ground_states`` needs no energies at all: from a warm vector it
   finds a ground vector by Rayleigh-quotient iteration and proves the gap
   above the degeneracy tolerance with one Cholesky factorization
@@ -91,38 +94,36 @@ def diagonalize(H: np.ndarray) -> Spectrum:
     float range raises ``ValueError``; a failed iteration inside the solver
     surfaces as ``numpy.linalg.LinAlgError``.
     """
-    H = _check_matrix(H, 2)
-    energies, states = np.linalg.eigh(H)
+    energies, states = np.linalg.eigh(_check_matrix(H))
     _check_energies(energies)
-
-    dim = H.shape[0]
-    lead = np.argmax(np.abs(states), axis=0)
-    flip = states[lead, np.arange(dim)] < 0.0
-    states[:, flip] *= -1.0
-
+    _fix_signs(states.T)
     energies.setflags(write=False)
     states.setflags(write=False)
     return Spectrum(energies=energies, states=states)
 
 
-def _check_matrix(H: np.ndarray, ndim: int) -> np.ndarray:
-    """``H`` as a float array, or ``ValueError`` unless it is one matrix
-    (``ndim`` 2) or a stack of matrices (``ndim`` 3) that are square, finite
-    and symmetric, of dimension at most ``MAX_DIM``: the input rules of
-    every dense solver."""
+def _check_matrix(H: np.ndarray) -> np.ndarray:
+    """``H`` as a float array, or ``ValueError`` unless it is a square,
+    finite and symmetric matrix of dimension at most ``MAX_DIM``: the input
+    rules of ``diagonalize``."""
     H = np.asarray(H, dtype=float)
-    if H.ndim != ndim or H.shape[-1] != H.shape[-2]:
-        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
-        raise ValueError(f"expected {what}, got shape {H.shape}")
-    dim = H.shape[-1]
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense cap {MAX_DIM}")
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {H.shape[0]} exceeds the dense cap {MAX_DIM}")
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix must contain only finite values")
-    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
-    if np.any(np.abs(H - np.swapaxes(H, -2, -1)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale):
+    if np.abs(H - H.T).max() > SYMMETRY_RTOL * max(1.0, np.abs(H).max()):
         raise ValueError("matrix is not symmetric within tolerance")
     return H
+
+
+def _fix_signs(rows: np.ndarray) -> None:
+    """Make the largest-magnitude entry of each row of ``rows`` positive, in
+    place: the sign convention of every solver here, so repeated calls on
+    identical input are bit-identical."""
+    lead = np.argmax(np.abs(rows), axis=1)
+    rows[rows[np.arange(len(rows)), lead] < 0.0] *= -1.0
 
 
 def _check_energies(energies: np.ndarray) -> None:
@@ -131,22 +132,21 @@ def _check_energies(energies: np.ndarray) -> None:
 
 
 def eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues, shape ``(m, dim)``, of every real symmetric
-    matrix in a stack of shape ``(m, dim, dim)``, without eigenvectors.
+    """Ascending eigenvalues, shape ``(m, dim)``, of every Hamiltonian in a
+    stack of shape ``(m, dim, dim)`` built by ``model``, without
+    eigenvectors.
 
-    Every matrix is validated as ``diagonalize`` validates its input, with
-    the same messages, and an eigenvalue beyond the float range raises
-    ``ValueError``. A matrix gives bitwise the same energies alone as in a
-    stack.
+    An eigenvalue beyond the float range raises ``ValueError``. A matrix
+    gives bitwise the same energies alone as in a stack.
     """
-    energies = np.linalg.eigvalsh(_check_matrix(H, 3))
+    energies = np.linalg.eigvalsh(H)
     _check_energies(energies)
     return energies
 
 
 def require_positive_finite(name: str, value: float) -> float:
     """``value`` as a float, or ``ValueError`` unless it is positive and
-    finite. The rule for every tolerance and step except ``schmidt_tol``."""
+    finite. The rule for every tolerance."""
     value = float(value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -180,11 +180,17 @@ def gap_gate(
             f"spectral width E_max - E_0 = {float(top[k])!r} - {float(energy[k])!r} "
             "overflows; the coefficients are too large"
         )
-    if deg_tol is None:
-        tol = 1e-9 * np.maximum(1.0, width)
-    else:
-        tol = np.full(gap.shape, require_positive_finite("deg_tol", deg_tol))
+    tol = _tolerance(width, deg_tol)
     return gap, tol, gap <= tol
+
+
+def _tolerance(width: np.ndarray, deg_tol: float | None) -> np.ndarray:
+    """The degeneracy tolerance of each spectrum of width ``width``:
+    ``deg_tol``, which must be positive and finite, or for ``None`` 1e-9 of
+    ``max(1, width)``."""
+    if deg_tol is None:
+        return 1e-9 * np.maximum(1.0, width)
+    return np.full(width.shape, require_positive_finite("deg_tol", deg_tol))
 
 
 def ground_gap(
@@ -229,7 +235,7 @@ def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray,
     generator: ``1 + frac(k * GOLDEN)``, positive, so it overlaps the
     positive ground state of nonnegative ``delta`` well, and irregular, so no
     sign symmetry of ``H`` makes it orthogonal to the ground state. Signs
-    follow ``diagonalize``: the largest-magnitude component is positive.
+    follow ``_fix_signs``.
     """
     m, dim = energies.shape
     scale = np.maximum(1.0, np.maximum(np.abs(energies[:, 0]), np.abs(energies[:, -1])))
@@ -249,8 +255,7 @@ def _inverse_iteration(H: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray,
             return tuple(np.concatenate(part) for part in zip(*pieces))
         residual = np.linalg.norm((H @ x[..., None])[..., 0] - energies[:, :1] * x, axis=1)
         verified = residual <= TRUE_RESIDUAL_SLACK * EIGEN_RTOL * scale
-        lead = np.argmax(np.abs(x), axis=1)
-        x[x[np.arange(m), lead] < 0.0] *= -1.0
+        _fix_signs(x)
     return x, verified
 
 
@@ -258,7 +263,8 @@ def ground_states(
     H: np.ndarray, deg_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energies ``(m, dim)``, ground vectors ``(m, dim)`` and the
-    ``degenerate`` mask ``(m,)`` of every matrix in a stack ``(m, dim, dim)``.
+    ``degenerate`` mask ``(m,)`` of every Hamiltonian in a stack ``(m, dim,
+    dim)`` built by ``model``.
 
     One stacked ``eigenvalues`` call gives every energy and one ``gap_gate``
     call gates every point on them. Each nondegenerate point takes its
@@ -267,7 +273,6 @@ def ground_states(
     excited eigenvector is computed. The vectors are read-only, and a matrix
     gives bitwise the same row alone as in a stack.
     """
-    H = np.asarray(H, dtype=float)
     energies = eigenvalues(H)
     if H.shape[-1] < 2:
         raise ValueError("spectrum must contain at least two levels")
@@ -285,9 +290,10 @@ def ground_states(
 def prove_ground_states(
     H: np.ndarray, start: np.ndarray, deg_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ground vectors ``(m, dim)`` of a stack of matrices ``(m, dim, dim)``,
-    each proven nondegenerate without an eigenvalue solve, and the mask
-    ``proven`` ``(m,)``; an unproven point's vector is NaN.
+    """Ground vectors ``(m, dim)`` of a stack of Hamiltonians ``(m, dim,
+    dim)`` built by ``model``, each proven nondegenerate without an
+    eigenvalue solve, and the mask ``proven`` ``(m,)``; an unproven point's
+    vector is NaN.
 
     From the warm vector ``start`` (shape ``(dim,)``, shared by the stack),
     Rayleigh-quotient inverse iteration runs until the true residual ``|H v
@@ -302,19 +308,16 @@ def prove_ground_states(
     Horn & Johnson, *Matrix Analysis* §4.3), so if that matrix is positive
     definite, ``E_1 > rho + tau >= E_0 + tau``, whatever the error in ``v``.
     The same test fails when ``v`` belongs to an excited level, since then
-    ``E_0`` also lies below the shift. ``tau`` is ``deg_tol``, or 1e-9 of
-    ``max(1, width)`` for a Gershgorin bound ``width`` of ``E_max - E_0``, so
-    a proven point passes ``gap_gate`` at its tolerance. ``alpha`` is
+    ``E_0`` also lies below the shift. ``tau`` is the ``_tolerance`` of a
+    Gershgorin bound ``width`` of ``E_max - E_0``, so a proven point passes
+    ``gap_gate`` at its tolerance. ``alpha`` is
     ``width + 2 tau``, enough to lift the ground level above the shift.
     ``margin`` bounds the rounding of ``rho``, of forming the matrix and of
     its factorization (Higham, *Accuracy and Stability of Numerical
     Algorithms*, Thm 10.5; Rump, BIT 46, 2006). Signs follow
-    ``diagonalize``. Inputs are validated as ``eigenvalues`` validates them.
+    ``_fix_signs``.
     """
-    H = _check_matrix(H, 3)
     m, dim = H.shape[:2]
-    if deg_tol is not None:
-        deg_tol = require_positive_finite("deg_tol", deg_tol)
     vectors = np.full((m, dim), np.nan)
     proven = np.zeros(m, dtype=bool)
     diag = np.arange(dim)
@@ -344,7 +347,7 @@ def prove_ground_states(
             except np.linalg.LinAlgError:  # an exactly singular shift: no proof
                 break
             x[active] = solved / np.linalg.norm(solved, axis=1, keepdims=True)
-        tau = 1e-9 * np.maximum(1.0, width) if deg_tol is None else np.full(m, deg_tol)
+        tau = _tolerance(width, deg_tol)
         alpha = width + 2.0 * tau
         eps = np.finfo(float).eps
         margin = 4.0 * (dim + 2) * eps * (dim * (norm + np.abs(rho) + tau) + alpha)
@@ -363,8 +366,7 @@ def prove_ground_states(
         factored = np.ones(live.size, dtype=bool)
     except np.linalg.LinAlgError:  # one point's failure fails the stack
         factored = np.array([_positive_definite(A) for A in M])
-    lead = np.argmax(np.abs(x), axis=1)
-    x[x[np.arange(live.size), lead] < 0.0] *= -1.0
+    _fix_signs(x)
     vectors[live[factored]] = x[factored]
     proven[live[factored]] = True
     return vectors, proven
@@ -377,12 +379,3 @@ def _positive_definite(A: np.ndarray) -> bool:
         return False
     return True
 
-
-def dense_ground_state(H: np.ndarray, deg_tol: float | None = None) -> GroundState:
-    """Gated ground state of one matrix, the one-matrix case of
-    ``ground_states``; raises ``DegenerateGroundError`` as ``ground_state``
-    does."""
-    (energies,), (vector,), _ = ground_states(np.asarray(H, dtype=float)[None], deg_tol)
-    # The same energies give the same decision; ground_gap adds the message.
-    gap = ground_gap(energies[0], energies[1], energies[-1], deg_tol)
-    return GroundState(float(energies[0]), vector, gap=gap, route="dense")

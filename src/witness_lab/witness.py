@@ -76,21 +76,17 @@ class Bipartition:
         return tuple(i for i in range(self.n) if not self.mask >> i & 1)
 
 
-def enumerate_bipartitions(n: int) -> list[Bipartition]:
+@lru_cache(maxsize=None)
+def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All canonical cuts of ``n`` qubits, ascending by mask.
 
     There are exactly ``2^(n-1) - 1`` of them: every subset containing
-    qubit 0 except the full set.
+    qubit 0 except the full set. Cached per ``n``; the cuts are immutable.
     """
     if not 2 <= n <= MAX_QUBITS:
         raise ValueError(f"bipartitions require 2 <= n <= {MAX_QUBITS}, got n={n}")
     full = (1 << n) - 1
-    return [Bipartition(mask=m, n=n) for m in range(1, full, 2)]
-
-
-@lru_cache(maxsize=None)
-def _canonical_cuts(n: int) -> tuple[Bipartition, ...]:
-    return tuple(enumerate_bipartitions(n))
+    return tuple(Bipartition(mask=m, n=n) for m in range(1, full, 2))
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +98,7 @@ def crossing_table(n: int) -> np.ndarray:
     lexicographic order, as ``np.triu_indices(n, 1)`` lists them. A cut and
     its complement have the same crossing pairs. Cached per ``n``.
     """
-    masks = np.array([cut.mask for cut in _canonical_cuts(n)])
+    masks = np.array([cut.mask for cut in enumerate_bipartitions(n)])
     side = (masks[:, None] >> np.arange(n)) & 1
     i, j = np.triu_indices(n, 1)
     table = side[:, i] != side[:, j]
@@ -270,7 +266,7 @@ def _witness_report(
         w_lambda = _lambda_sum(system, response)
     else:
         w_lambda = None if path is None else witness_lambda(path, lambda0, deg_tol)
-    partitions = _canonical_cuts(system.n)
+    partitions = enumerate_bipartitions(system.n)
     n_ab = count_crossing_couplings(system)
     table = crossing_table(system.n)
     i, j = np.triu_indices(system.n, 1)

@@ -211,3 +211,16 @@ def structurally_entangled(system, cut):
         for k in range(system.n)
         for l in range(k + 1, system.n)
     )
+
+
+def random_system_with_classical_qubits(rng, n):
+    """``n`` qubits with ``|delta|`` in [0.1, 1.5], each qubit classical
+    (``delta = 0``) with probability 1/4, ``h`` in [-1, 1], and half of the
+    couplings zero, the others of magnitude in [0.1, 1.5]."""
+
+    def magnitudes(shape):
+        return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 1.5, shape)
+
+    delta = np.where(rng.random(n) < 0.25, 0.0, magnitudes(n))
+    J = np.triu(np.where(rng.random((n, n)) < 0.5, 0.0, magnitudes((n, n))), 1)
+    return QubitSystem(delta=delta, h=rng.uniform(-1.0, 1.0, n), J=J + J.T)

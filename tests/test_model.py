@@ -138,6 +138,19 @@ class TestBuildHamiltonian:
             # every term is traceless, so the sum is too
             assert abs(np.trace(H)) < 1e-12
 
+    def test_overflowing_diagonal_rejected(self):
+        # Finite coefficients whose sum -h_0 s_0 + J_01 s_0 s_1 reaches
+        # -2e308 at s = (+1, -1): no built matrix is ever non-finite.
+        system = QubitSystem.from_couplings([0.2, 0.2], [1e308, 0.0], [(0, 1, 1e308)])
+        path = AffinePath(base=fm_pair(), direction=system)
+        for build in (
+            lambda: build_hamiltonian(system),
+            lambda: build_hamiltonians(*path.coefficients([0.0, 1.0])),
+        ):
+            with pytest.raises(ValueError, match="^matrix must contain only finite values$"):
+                build()
+        assert np.isfinite(build_hamiltonians(*path.coefficients([0.0, 0.5]))).all()
+
 
 class TestQubitSystemInvariants:
     def test_rejects_asymmetric_coupling(self):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from conftest import complement, sigma_z_expectation, structurally_entangled
+from conftest import (
+    complement,
+    random_system_with_classical_qubits,
+    sigma_z_expectation,
+    structurally_entangled,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import witness_lab.witness as witness_module
 from witness_lab import (
     SCHMIDT_TOL,
     Bipartition,
@@ -17,7 +23,7 @@ from witness_lab import (
     is_separable,
 )
 from witness_lab.separability import schmidt_coefficients
-from witness_lab.witness import enumerate_bipartitions
+from witness_lab.witness import enumerate_bipartitions, solve_witness_report
 
 
 def basis_state(n, index):
@@ -230,3 +236,53 @@ def test_structural_rule_matches_schmidt_coefficients(system):
             assert second >= 1e-9, (cut, second)
         else:
             assert second <= 1e-10, (cut, second)
+
+
+def structural_soundness_counts(system):
+    """Cuts of ``system``'s witness report with ``w_tilde != 0.0``, all of
+    which must be structurally entangled, and coupled cuts the rule calls a
+    product, on which a solver's rounding would show if it reached
+    ``w_tilde``; ``(0, 0)`` for a degenerate draw."""
+    try:
+        report = solve_witness_report(system)
+    except DegenerateGroundError:
+        return 0, 0
+    nonzero = product = 0
+    for cut in report.cuts:
+        entangled = structurally_entangled(system, cut.partition)
+        if cut.w_tilde != 0.0:
+            assert entangled, (system, cut)
+            nonzero += 1
+        product += cut.n_ab > 0 and not entangled
+    return nonzero, product
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_nonzero_w_tilde_only_on_structurally_entangled_cuts(n):
+    rng = np.random.default_rng(900 + n)
+    counts = [
+        structural_soundness_counts(random_system_with_classical_qubits(rng, n))
+        for _ in range(20)
+    ]
+    assert all(map(sum, zip(*counts)))  # neither side of the rule is vacuous
+
+
+def test_nonzero_w_tilde_only_on_structurally_entangled_cuts_on_the_krylov_route(
+    monkeypatch,
+):
+    routes = []
+    solve = witness_module._solve
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        routes.append(result[0].route)
+        return result
+
+    monkeypatch.setattr(witness_module, "_solve", recording)
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        nonzero, product = structural_soundness_counts(
+            random_system_with_classical_qubits(rng, 10)
+        )
+        assert nonzero and product
+    assert routes == ["krylov", "krylov"]

@@ -19,7 +19,6 @@ from witness_lab import (
     sigma_z_profile,
 )
 from witness_lab.spectrum import (
-    dense_ground_state,
     eigenvalues,
     gap_gate,
     ground_gap,
@@ -86,8 +85,10 @@ class TestDiagonalize:
     def test_rejects_oversized_and_nonfinite(self):
         with pytest.raises(ValueError, match="cap"):
             diagonalize(np.zeros((4097, 4097)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only finite values"):
             diagonalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            diagonalize(np.eye(3)[None])
 
 
 class TestGroundState:
@@ -226,8 +227,7 @@ class TestGroundStates:
             assert np.isnan(vectors[2]).all() and np.isfinite(vectors[[0, 1, 3, 4]]).all()
             with pytest.raises(DegenerateGroundError):
                 ground_state(diagonalize(H[2]))
-            with pytest.raises(DegenerateGroundError):
-                dense_ground_state(H[2])
+            assert ground_states(H[2:3])[2].tolist() == [True]
         assert not count_diagonalize
 
     def test_biased_classical_chain_needs_no_fallback(self, count_diagonalize):
@@ -255,17 +255,13 @@ class TestGroundStates:
             (levels,), (vector,), (flag,) = ground_states(H[k : k + 1])
             assert levels.tobytes() == energies[k].tobytes()
             assert vector.tobytes() == vectors[k].tobytes() and flag == degenerate[k]
-            ground = dense_ground_state(H[k])
-            assert ground.energy == energies[k, 0] and ground.route == "dense"
-            assert ground.gap == energies[k, 1] - energies[k, 0]
-            assert ground.vector.tobytes() == vectors[k].tobytes()
 
     def test_sign_convention_and_read_only(self):
         rng = np.random.default_rng(8)
         H = random_path_hamiltonians(rng, 4, 5)
         _, vectors, _ = ground_states(H)
         assert not vectors.flags.writeable
-        assert not dense_ground_state(H[0]).vector.flags.writeable
+        assert not ground_states(H[:1])[1].flags.writeable
         for vector in vectors:
             lead = np.argmax(np.abs(vector))
             assert vector[lead] > 0.0
@@ -295,11 +291,9 @@ class TestGroundStates:
         H = build_hamiltonians(*path.coefficients(np.linspace(-1.0, 1.0, 9)))
         _, _, degenerate = ground_states(H)
         assert degenerate.tolist() == [False] * 4 + [True] + [False] * 4
+        assert ground_states(H[4:5])[2].tolist() == [True]
+        assert ground_states(H[:1])[2].tolist() == [False]
         assert made == []
-        with pytest.raises(CountingError):
-            dense_ground_state(H[4])
-        dense_ground_state(H[0])
-        assert made == ["error", "ground"]
 
     @pytest.mark.parametrize("failure", ["solve raises", "residual fails"])
     def test_forced_fallback_recomputes_that_point_only(
@@ -335,29 +329,19 @@ class TestGroundStates:
                 assert vector.tobytes() == diagonalize(H[k]).states[:, 0].tobytes()
             else:
                 assert vector.tobytes() == expected_vectors[k].tobytes()
-        ground = dense_ground_state(H[target])
+        (levels,), (vector,), _ = ground_states(H[target : target + 1])
         assert len(count_diagonalize) == 2
-        assert ground.energy == energies[target, 0]
-        assert ground.gap == energies[target, 1] - energies[target, 0]
-        assert ground.vector.tobytes() == vectors[target].tobytes()
+        assert levels.tobytes() == energies[target].tobytes()
+        assert vector.tobytes() == vectors[target].tobytes()
 
-    def test_validation_matches_diagonalize(self):
-        bad = [
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            np.array([[np.nan, 0.0], [0.0, 1.0]]),
-            np.diag([-1.7e308, 1.7e308]) + np.array([[0.0, 1.7e308], [1.7e308, 0.0]]),
-        ]
-        for M in bad:
-            with pytest.raises(ValueError) as full:
-                diagonalize(M)
-            for solver in (eigenvalues, ground_states):
-                stack = np.stack([np.eye(2), M])
-                with pytest.raises(ValueError, match=str(full.value)):
-                    solver(stack)
-        with pytest.raises(ValueError, match="cap"):
-            eigenvalues(np.zeros((1, 4097, 4097)))
-        with pytest.raises(ValueError, match="stack of square matrices"):
-            eigenvalues(np.eye(3))
+    def test_overflowing_eigenvalues_raise_as_in_diagonalize(self):
+        # Finite and symmetric, but the levels are about +-2.4e308.
+        M = np.diag([-1.7e308, 1.7e308]) + np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+        with pytest.raises(ValueError) as full:
+            diagonalize(M)
+        for solver in (eigenvalues, ground_states):
+            with pytest.raises(ValueError, match=str(full.value)):
+                solver(np.stack([np.eye(2), M]))
 
     def test_width_overflow_raises(self):
         with pytest.raises(ValueError, match="spectral width .* overflows"):
@@ -429,11 +413,13 @@ class TestProveGroundStates:
         for start in (np.eye(1 << n)[0], np.eye(1 << n)[-1], np.ones(1 << n)):
             assert not prove_ground_states(H[None], start)[1][0]
 
-    def test_validation_matches_ground_states(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            prove_ground_states(np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.ones(2))
-        with pytest.raises(ValueError, match="deg_tol must be positive"):
-            prove_ground_states(np.eye(2)[None], np.ones(2), deg_tol=-1.0)
+    def test_tolerance_validated_as_the_gate_validates_it(self):
+        H = np.diag([0.0, 1.0])[None]
+        for deg_tol in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError) as gate:
+                ground_states(H, deg_tol)
+            with pytest.raises(ValueError, match=re.escape(str(gate.value))):
+                prove_ground_states(H, np.ones(2), deg_tol)
 
     def test_overflowing_width_is_not_proven(self):
         H = np.diag([-1.5e308, 1.5e308])[None]

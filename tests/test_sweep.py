@@ -6,16 +6,19 @@ import time
 
 import numpy as np
 import pytest
+from conftest import random_system_with_classical_qubits, structurally_entangled
 
 import witness_lab.sweep as sweep_module
 from witness_lab import (
     AffinePath,
+    Bipartition,
     QubitSystem,
     SweepConfig,
     SweepResult,
     build_hamiltonian,
     build_hamiltonians,
     certify_entanglement_on_path,
+    coupled_pairs,
     detect_anticrossings,
     diagonalize,
     ground_state,
@@ -813,6 +816,77 @@ class TestCertification:
             spec = diagonalize(build_hamiltonian(config.path.at(lam)))
             assert not is_fully_separable(ground_state(spec).vector)
         assert certified_seen >= 3
+
+    def test_oracle_lambda_is_a_structurally_entangled_grid_point(self):
+        # Random paths on which qubits are classical throughout, quantum
+        # throughout, or classical and nearly unbiased at one grid point g
+        # (delta_i = lambda - g, h_i ~ (lambda - g) s_i), so that the
+        # steepest <sz> step may start at a point where a pair is classical:
+        # the confirming point is a grid value at which a certified pair is
+        # quantum and coupled, so {i}|rest is entangled there.
+        rng = np.random.default_rng(19)
+        grid = np.linspace(-1.0, 1.0, 41)
+        certified_seen = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            base = random_system_with_classical_qubits(rng, n)
+            roots = rng.choice(grid, n)
+            moving = rng.random(n) < 0.4
+            slope = rng.uniform(-1.0, 1.0, n)
+            direction = QubitSystem(delta=moving * 1.0, h=slope, J=np.zeros((n, n)))
+            base = QubitSystem(
+                delta=np.where(moving, -roots, base.delta),
+                h=np.where(moving, -roots * slope, base.h),
+                J=base.J,
+            )
+            path = AffinePath(base=base, direction=direction)
+            report = certify_entanglement_on_path(
+                run_sweep(SweepConfig(path=path, grid=grid), energies=False)
+            )
+            if not report.certified_pairs:
+                continue
+            certified_seen += 1
+            lam = report.oracle_confirmation
+            assert lam in grid.tolist()
+            system = path.at(lam)
+            coupled = coupled_pairs(system.J)
+            assert any(
+                system.delta[i] != 0.0
+                and system.delta[j] != 0.0
+                and coupled[i, j]
+                and structurally_entangled(system, Bipartition(mask=1 << i, n=n))
+                for i, j, _, _ in report.certified_pairs
+            )
+        assert certified_seen >= 5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="qubit 0's sectors cross twice between two grid points (ROADMAP item 2)",
+    )
+    def test_even_number_of_sector_crossings_voids_certification(self, tmp_path, capsys):
+        # Qubit 0 is classical on the whole path. A 20001-point scan of its
+        # two sectors finds them crossing at lambda ~ 0.4172 and 0.5902,
+        # both between the grid points 0.4 and 0.6, so its <sz> does not
+        # flip between grid points and the flip rule misses the crossings.
+        from witness_lab.cli import main
+
+        doc = {
+            "system": {
+                "n": 3,
+                "delta": [0.0, 0.5927, 0.4808],
+                "h": [0.412, 0.3041, -0.2191],
+                "couplings": [[0, 1, 0.6165], [1, 2, -1.6483]],
+            },
+            "sweep": {
+                "direction": {"delta": [0, 0, 0], "h": [0.3346, 1.0, 0.1469], "couplings": []},
+                "grid": {"start": -1.0, "stop": 1.0, "num": 11},
+            },
+        }
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["certify", "--config", str(cfg)])
+        assert "\npath_nondegenerate,false\n" in capsys.readouterr().out
+        assert code == 3
 
     def test_fm_chain_endpoints_polarized(self):
         config = SweepConfig(path=fm_chain_path(3), grid=np.linspace(-2, 2, 101))
