@@ -100,6 +100,8 @@ def _check_keys(block: dict, where: str, allowed: set[str], required: set[str]):
 
 
 def _number(value, where: str) -> float:
+    if isinstance(value, (bool, str)):  # JSON numbers only
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -142,26 +142,19 @@ class AffinePath:
         return self.base.n
 
     def at(self, lam: float) -> QubitSystem:
-        """System at parameter value ``lam``."""
-        lam = float(lam)
-        if not np.isfinite(lam):
-            raise ValueError(f"path parameter must be finite, got {lam}")
-        # An overflowing coefficient is rejected by QubitSystem, not warned of.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return QubitSystem(
-                delta=self.base.delta + lam * self.direction.delta,
-                h=self.base.h + lam * self.direction.h,
-                J=self.base.J + lam * self.direction.J,
-            )
+        """System at parameter value ``lam``: the one-point case of
+        ``coefficients``, so ``ValueError`` when a coefficient is not
+        finite."""
+        delta, h, J = self.coefficients([lam])
+        return QubitSystem(delta[0], h[0], J[0])
 
     def coefficients(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(delta, h, J)`` at every value of ``grid``, stacked along a
-        leading axis of shapes ``(m, n)``, ``(m, n)`` and ``(m, n, n)``.
-
-        Row ``k`` is bitwise the coefficients of ``at(grid[k])``: the same
-        element-wise ``base + lam * direction``. Finiteness is checked once
-        for the whole grid; symmetry and the zero diagonal of ``J`` carry
-        over from ``base`` and ``direction``.
+        leading axis of shapes ``(m, n)``, ``(m, n)`` and ``(m, n, n)``: the
+        element-wise ``base + lam * direction``, the one place a path point
+        is computed. Finiteness is checked once for the whole grid; symmetry
+        and the zero diagonal of ``J`` carry over from ``base`` and
+        ``direction``.
         """
         lam = np.asarray(grid, dtype=float).reshape(-1)
         # In-place adds save a temporary; IEEE addition is commutative, so

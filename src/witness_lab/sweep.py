@@ -280,19 +280,14 @@ class CertificationReport:
     oracle_confirmation: float | None
 
 
-def _coupled_everywhere(result: SweepResult) -> np.ndarray:
-    """``(n, n)`` mask of the pairs ``coupled_pairs`` marks at every grid
-    point."""
-    J = result.config.path.coefficients(result.config.grid)[2]
-    return coupled_pairs(J).all(axis=0)
-
-
-def _entangled_point(result: SweepResult, pairs: np.ndarray) -> float | None:
-    """The first grid value at which both qubits of some pair ``(i, j)`` in
-    ``pairs`` are quantum (``delta != 0``), or ``None``. The steps between
-    neighbouring points are taken from the largest ``sum_i |change of
-    <sz_i>|`` down, where the spins turn, and each step's two points in
-    grid order.
+def _entangled_point(
+    grid: np.ndarray, quantum: np.ndarray, sz: np.ndarray, pairs: np.ndarray
+) -> float | None:
+    """The first ``grid`` value at which both qubits of some pair ``(i, j)``
+    in ``pairs`` are ``quantum`` (``delta != 0``, per point and qubit), or
+    ``None``. The steps between neighbouring points are taken from the
+    largest ``sum_i |change of <sz_i>|`` (over a row of ``sz``) down, where
+    the spins turn, and each step's two points in grid order.
 
     Every pair in ``pairs`` is coupled at every grid point, and no point is
     degenerate, so the ground state there is entangled across ``{i}|rest``
@@ -324,10 +319,8 @@ def _entangled_point(result: SweepResult, pairs: np.ndarray) -> float | None:
     Bravyi, DiVincenzo, Oliveira & Terhal, arXiv:quant-ph/0606140
     (stoquastic Hamiltonians). No solve and no tolerance is needed.
     """
-    grid = result.config.grid
-    quantum = result.config.path.coefficients(grid)[0] != 0.0
     entangled = (quantum[:, pairs[:, 0]] & quantum[:, pairs[:, 1]]).any(axis=1)
-    steps = np.abs(np.diff(result.sz_trajectories, axis=0)).sum(axis=1)
+    steps = np.abs(np.diff(sz, axis=0)).sum(axis=1)
     order = np.argsort(-steps, kind="stable")
     visits = np.column_stack([order, order + 1]).ravel()
     hits = visits[entangled[visits]]
@@ -341,19 +334,23 @@ def certify_entanglement_on_path(
 
     A nondegenerate ground state that stays completely separable along a
     continuous path cannot have both ``<sz_i>`` and ``<sz_j>`` of a coupled
-    pair change, so a pair certifies when both total variations exceed
-    ``var_tol``, which must be positive and finite. Any degenerate grid
-    point voids certification for the whole path. So does a level crossing
-    between grid points that a classical qubit reveals: a qubit with
-    ``delta_i = 0`` on the whole path has a conserved ``sz_i``, so its
-    ``<sz_i>`` is +-1 at every nondegenerate point, and a flip between any
-    two points means the lowest levels of its two sectors swap order in
-    between. A positive finding names a grid point whose ground state is
-    entangled by the coupling structure (``_entangled_point``).
+    pair change, so a pair certifies when it is coupled (``coupled_pairs``)
+    at every grid point and both total variations exceed ``var_tol``, which
+    must be positive and finite. Any degenerate grid point voids
+    certification for the whole path. So does a level crossing between grid
+    points that a classical qubit reveals: a qubit with ``delta_i = 0`` at
+    every grid point has a conserved ``sz_i``, so its ``<sz_i>`` is +-1 at
+    every nondegenerate point, and a flip between any two points means the
+    lowest levels of its two sectors swap order in between. A positive
+    finding names a grid point whose ground state is entangled by the
+    coupling structure (``_entangled_point``). Every mask comes from one
+    read of the path's coefficients on the grid, those the sweep solved.
     """
     var_tol = require_positive_finite("var_tol", var_tol)
-    path = result.config.path
-    classical = (path.base.delta == 0.0) & (path.direction.delta == 0.0)
+    grid = result.config.grid
+    delta, _, J = result.config.path.coefficients(grid)
+    quantum = delta != 0.0
+    classical = ~quantum.any(axis=0)
     sz = result.sz_trajectories
     flipped = np.ptp(sz[:, classical], axis=0) > 1.0
     if bool(result.degenerate_flags.any() or flipped.any()):
@@ -362,13 +359,11 @@ def certify_entanglement_on_path(
         )
     variations = np.abs(np.diff(sz, axis=0)).sum(axis=0)
     moving = variations > var_tol
+    coupled = coupled_pairs(J).all(axis=0)
     # argwhere lists pairs i < j in lexicographic order
-    pairs = np.argwhere(np.triu(_coupled_everywhere(result) & np.outer(moving, moving)))
+    pairs = np.argwhere(np.triu(coupled & np.outer(moving, moving)))
     certified = [
         (i, j, float(variations[i]), float(variations[j])) for i, j in pairs.tolist()
     ]
-    return CertificationReport(
-        certified_pairs=certified,
-        path_nondegenerate=True,
-        oracle_confirmation=_entangled_point(result, pairs) if certified else None,
-    )
+    point = _entangled_point(grid, quantum, sz, pairs) if certified else None
+    return CertificationReport(certified, path_nondegenerate=True, oracle_confirmation=point)

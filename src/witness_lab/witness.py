@@ -16,17 +16,26 @@ row and column and its path response are set to exactly 0.0 before any
 sum. When the path point at ``lambda0`` is the system itself, the reports
 take ``w_lambda`` from their own ground-state solve; otherwise
 ``witness_lambda`` solves the path point. ``witness_report`` (from a given
-dense spectrum) and ``solve_witness_report`` (from its own solve) share one
-body, so one rule covers both: a degenerate ground level at the system or
-at ``lambda0`` raises ``DegenerateGroundError``.
+dense spectrum) and ``solve_witness_report`` (from its own solve) hand
+their responses to one body: a degenerate ground level at the system or at
+``lambda0`` raises ``DegenerateGroundError`` in both.
 
 Every cut is evaluated at once from the cached ``crossing_table`` (which
 pair crosses which cut) and ``coupled_pairs``, the one rule for which pairs
 count as coupled: ``N_AB``, ``w_tilde``, path certification and
 ``check_pinned_pairs`` all use it.
 
-A nonzero witness is sufficient evidence, never necessary: silent witnesses
-prove nothing.
+A silent ``w_tilde`` proves nothing on frustrated couplings, whose crossing
+terms can cancel on a strongly entangled cut (``tests/test_witness.py``).
+On unfrustrated ones (signs ``s_i`` make every ``s_i s_j J_ij <= 0``) every
+``J_ij chi_ij <= 0``, so ``|w_tilde(A, B)| >=`` the largest crossing
+``|J_ij chi_ij|``. Sketch: conjugating by ``sx_q`` where ``s_q = -1`` flips
+``h_q``, ``J_qk`` and ``chi_qk`` and leaves every ``J_ij <= 0``, and by
+``sz_q`` every ``delta_q >= 0``. Suzuki-Trotter (Prog. Theor. Phys. 56,
+1454, 1976) maps this ground state to a classical ferromagnetic Ising model
+in one more dimension, whose connected correlations FKG (Commun. Math.
+Phys. 22, 89, 1971) makes nonnegative, and ``chi_ij`` integrates them over
+imaginary time. Open: strictness, ``chi_ij > 0`` for coupled quantum qubits.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,17 +252,16 @@ def _shared_direction(
 
 
 def _witness_report(
-    solve: Callable[[QubitSystem | None], Responses],
     system: QubitSystem,
+    responses: Responses,
     deg_tol: float | None,
     path: AffinePath | None,
     lambda0: float,
 ) -> WitnessReport:
-    """The one body of both report functions. ``solve(direction)`` returns
-    the gated ground state, ``chi`` and the path response along
-    ``direction`` (``None`` for none); it is the only part that differs."""
-    direction = _shared_direction(system, path, lambda0)
-    ground, chi, response = solve(direction)
+    """The one body of both report functions, from the gated ground state,
+    ``chi`` and the path response (``None`` when the lambda row is not
+    shared) of ``system``."""
+    ground, chi, response = responses
     # Taking a GroundState means the degeneracy gate has passed: chi is only
     # meaningful for a unique ground state. Here only the shapes are checked.
     if ground.vector.shape != (system.dim,) or chi.shape != (system.n, system.n):
@@ -298,10 +306,9 @@ def witness_report(
     from a second solve. A degenerate ground level at ``system`` or at
     ``lambda0`` raises ``DegenerateGroundError``.
     """
-    return _witness_report(
-        lambda direction: spectrum_response(spec, deg_tol, direction),
-        system, deg_tol, path, lambda0,
-    )
+    direction = _shared_direction(system, path, lambda0)
+    responses = spectrum_response(spec, deg_tol, direction)
+    return _witness_report(system, responses, deg_tol, path, lambda0)
 
 
 def solve_witness_report(
@@ -319,7 +326,6 @@ def solve_witness_report(
     ground level at ``system`` or at ``lambda0`` raises
     ``DegenerateGroundError``, as in ``witness_report``.
     """
-    return _witness_report(
-        lambda direction: _solve(system, deg_tol, direction=direction),
-        system, deg_tol, path, lambda0,
-    )
+    direction = _shared_direction(system, path, lambda0)
+    responses = _solve(system, deg_tol, direction=direction)
+    return _witness_report(system, responses, deg_tol, path, lambda0)

@@ -16,6 +16,11 @@ from witness_lab.cli import MAX_GRID_POINTS, load_config, main, parse_config
 from witness_lab.spectrum import eigenvalues
 
 
+# JSON values that are not JSON numbers: a bool is not 1.0 or 0.0, and a
+# numeric string is not its value.
+NOT_NUMBERS = [True, False, "0.5", "1e-3", "-1", "nan"]
+
+
 def write_config(tmp_path, document, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document))
@@ -170,14 +175,14 @@ class TestConfigValidation:
             assert err == "config error: unknown key(s) in config: format\n"
             assert out == ""
 
-    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("value", ["x", None, *NOT_NUMBERS])
     def test_non_numeric_coupling_value(self, tmp_path, capsys, value):
         doc = {"system": {**PINNED["system"], "couplings": [[0, 1, value]]}}
         code, _, err = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, doc))
         assert code == 2
         assert "couplings value must be a number" in err
 
-    @pytest.mark.parametrize("value", [{}, [1], "x", None])
+    @pytest.mark.parametrize("value", [{}, [1], "x", None, *NOT_NUMBERS])
     @pytest.mark.parametrize(
         "where", ["system", "sweep.direction", "witness.lambda_direction"]
     )
@@ -193,6 +198,33 @@ class TestConfigValidation:
         assert code == 2
         assert f"{where}.{field} entry must be a number" in err
         assert out == ""
+
+    def assert_not_a_number(self, tmp_path, capsys, command, doc, where, value):
+        code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {where} must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("key", ["start", "stop", "values"])
+    def test_bool_or_string_grid_number_exits_2(self, tmp_path, capsys, key, value):
+        grid = {"start": -1.0, "stop": 1.0, "num": 5}
+        if key == "values":
+            grid, where = {"values": [-1.0, value, 1.0]}, "sweep.grid.values entry"
+        else:
+            grid[key], where = value, f"sweep.grid.{key}"
+        doc = {**FM_PAIR, "sweep": {**FM_PAIR["sweep"], "grid": grid}}
+        self.assert_not_a_number(tmp_path, capsys, "sweep", doc, where, value)
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_bool_or_string_lambda0_exits_2(self, tmp_path, capsys, value):
+        doc = {**CONSTANT_PATH, "witness": {**CONSTANT_PATH["witness"], "lambda0": value}}
+        self.assert_not_a_number(tmp_path, capsys, "witness", doc, "witness.lambda0", value)
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("key", ["deg_tol", "var_tol"])
+    def test_bool_or_string_tolerance_exits_2(self, tmp_path, capsys, key, value):
+        doc = {**FM_PAIR, "tolerances": {key: value}}
+        self.assert_not_a_number(tmp_path, capsys, "certify", doc, f"tolerances.{key}", value)
 
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         text = json.dumps(PINNED).replace("5.0", "1" + "0" * 400)
@@ -409,6 +441,18 @@ class TestWitnessCommand:
         assert err.startswith("config error: ") and "overflows" in err
         assert "Warning" not in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "lambda0, shown", [(1e308, "1e+308"), (float("inf"), "inf"), (float("nan"), "nan")]
+    )
+    def test_nonfinite_lambda0_point_exits_2(self, tmp_path, capsys, lambda0, shown):
+        # the path point at lambda0 comes from AffinePath.coefficients,
+        # which names the lambda whose coefficients are not finite
+        direction = {"delta": [0.0, 0.0], "h": [4.0, 4.0], "couplings": []}
+        doc = {**FM_PAIR, "witness": {"lambda_direction": direction, "lambda0": lambda0}}
+        code, out, err = run_cli(capsys, "witness", "--config", write_config(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"config error: path coefficients are not finite at lambda={shown}\n"
 
     def test_degenerate_ground_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CLASSICAL_DEGENERATE)

@@ -125,7 +125,7 @@ class TestIsSeparable:
         system = QubitSystem.from_couplings([1.0, 0.0], [0.3, 5.0], [(0, 1, 0.4)])
         spec = diagonalize(build_hamiltonian(system))
         gs = ground_state(spec)
-        assert is_separable(gs.vector, Bipartition(1, 2), tol=1e-7)
+        assert is_separable(gs.vector, Bipartition(1, 2))
 
 
 class TestIsFullySeparable:
@@ -189,13 +189,6 @@ class TestPinnedPairRule:
         gs = ground_state(spec)
         with pytest.raises(ValueError, match="separable"):
             check_pinned_pairs(gs.vector, system)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-7, 1.0, float("inf"), float("nan")])
-def test_schmidt_tol_outside_unit_interval_rejected(tol):
-    state = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="schmidt_tol must be in"):
-        is_fully_separable(state, tol)
 
 
 magnitudes = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)

@@ -14,6 +14,7 @@ from witness_lab import (
     Bipartition,
     QubitSystem,
     SweepConfig,
+    SweepPoint,
     SweepResult,
     build_hamiltonian,
     build_hamiltonians,
@@ -629,8 +630,13 @@ class TestDetectAnticrossings:
 
 class TestCertification:
     def test_coupled_everywhere_matches_per_point_threshold(self):
+        # certify's pair selection: with every <sz_i> moving and no point
+        # degenerate, the certified pairs are those coupled_pairs marks at
+        # every grid point of the path.
         rng = np.random.default_rng(11)
         grid = np.linspace(-2, 2, 41)
+        sz = np.sin(3.0 * grid[:, None] + np.arange(4))
+        points = [SweepPoint(lam, None, np.nan, row, False) for lam, row in zip(grid, sz)]
         for trial in range(6):
             path = random_path(rng, 4)
             if trial % 2:
@@ -641,18 +647,23 @@ class TestCertification:
                     base=QubitSystem(delta=path.base.delta, h=path.base.h, J=base_J),
                     direction=path.direction,
                 )
-            result = SweepResult(config=SweepConfig(path=path, grid=grid), points=[])
-            coupled = sweep_module._coupled_everywhere(result)
-            for i in range(4):
-                for j in range(4):
-                    expected = all(
-                        abs(path.at(lam).J[i, j])
-                        > 1e-12 * max(1.0, np.abs(path.at(lam).J).max())
-                        for lam in grid
-                    )
-                    assert coupled[i, j] == expected
+            result = SweepResult(config=SweepConfig(path=path, grid=grid), points=points)
+            report = certify_entanglement_on_path(result)
+            certified = [(i, j) for i, j, _, _ in report.certified_pairs]
+            expected = [
+                (i, j)
+                for i in range(4)
+                for j in range(i + 1, 4)
+                if all(
+                    abs(path.at(lam).J[i, j])
+                    > 1e-12 * max(1.0, np.abs(path.at(lam).J).max())
+                    for lam in grid
+                )
+            ]
+            assert report.path_nondegenerate
+            assert certified == expected
             if trial % 2:
-                assert not coupled[0, 1]
+                assert (0, 1) not in certified
 
     def test_invalid_tolerances_rejected(self):
         config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-2, 2, 21))

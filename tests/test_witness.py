@@ -35,6 +35,7 @@ from witness_lab import (
     witness_report,
 )
 from witness_lab.cli import main
+from witness_lab.separability import schmidt_coefficients
 from witness_lab.witness import enumerate_bipartitions
 
 
@@ -135,7 +136,7 @@ class TestWitnessTilde:
         cut = witness_report(spec, system).cuts[0]
         assert cut.n_ab == 1
         gs_vec = spec.states[:, 0]
-        assert is_separable(gs_vec, cut.partition, tol=1e-7)
+        assert is_separable(gs_vec, cut.partition)
         assert abs(cut.w_tilde) <= 1e-8
 
     def test_fm_pair_loud_and_matches_brute_force(self):
@@ -633,3 +634,73 @@ class TestClassicalQubits:
         cut = cut_in(report, Bipartition(mask=0b001, n=3))  # {0} | {1, 2}
         assert cut.w_tilde == -1.0 * chi[0, 1]
         assert cut_in(report, Bipartition(mask=0b011, n=3)).w_tilde == 0.0  # {0, 1} | {2}
+
+
+def unfrustrated_system(rng, n):
+    """|delta| in [0.01, 3], |h| <= 3, half the pairs coupled with |J| <= 3,
+    and every coupling ``J_ij = -s_i s_j |J_ij|`` for random signs ``s``:
+    an unfrustrated graph, ferromagnetic after flipping the qubits with
+    ``s_i = -1``."""
+    delta = rng.uniform(0.01, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    s = rng.choice([-1.0, 1.0], n)
+    i, j = np.triu_indices(n, 1)
+    magnitude = rng.uniform(0.0, 3.0, i.size) * (rng.random(i.size) < 0.5)
+    J = np.zeros((n, n))
+    J[i, j] = J[j, i] = -s[i] * s[j] * magnitude
+    return QubitSystem(delta=delta, h=rng.uniform(-3.0, 3.0, n), J=J)
+
+
+def largest_crossing_term(system):
+    """Largest ``J_ij chi_ij / max(1, |J_ij|)`` over the coupled pairs, from
+    the route ``ground_response`` selects, and that route."""
+    ground, chi = ground_response(system)
+    i, j = np.triu_indices(system.n, 1)
+    coupled = system.J[i, j] != 0.0
+    J = system.J[i, j][coupled]
+    return float(np.max(J * chi[i, j][coupled] / np.maximum(1.0, np.abs(J)))), ground.route
+
+
+class TestUnfrustratedCouplings:
+    """On an unfrustrated coupling graph no crossing term ``J_ij chi_ij`` is
+    positive, so none can cancel another in ``w_tilde`` (proof sketch in the
+    ``witness`` module docstring); on a frustrated one they can."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_coupled_term_is_nonpositive(self, n):
+        rng = np.random.default_rng(2600 + n)
+        terms = []
+        for _ in range(100):
+            system = unfrustrated_system(rng, n)
+            if np.any(system.J):
+                terms.append(largest_crossing_term(system)[0])
+        assert len(terms) >= 40  # draws with at least one coupling
+        assert max(terms) <= 1e-12
+
+    def test_every_coupled_term_is_nonpositive_on_the_krylov_route(self):
+        for seed in (0, 1):
+            largest, route = largest_crossing_term(
+                unfrustrated_system(np.random.default_rng(seed), 10)
+            )
+            assert route == "krylov"
+            assert largest <= 1e-9
+
+    def test_frustrated_couplings_can_silence_an_entangled_cut(self):
+        # n = 6, h = 0, delta = t * (...), every delta > 0, so the ground
+        # state is nondegenerate and entangled across {0..4}|{5} for all t;
+        # the couplings are frustrated, and w_tilde of that cut changes sign
+        # between t = 1.1 and 1.2.
+        couplings = [
+            (0, 1, -0.7303), (0, 2, -0.7697), (0, 4, -1.0389), (0, 5, -0.4031),
+            (1, 2, -1.7404), (1, 3, 1.9308), (1, 4, -0.7661), (2, 3, -0.1606),
+            (2, 5, 0.1108), (3, 5, 0.8864), (4, 5, 1.4327),
+        ]
+        cut = Bipartition(mask=31, n=6)
+        w_tilde = []
+        for t in (1.1, 1.2):
+            delta = t * np.array([0.2204, 0.3117, 1.9892, 0.1707, 1.5988, 0.4434])
+            system = QubitSystem.from_couplings(delta, [0.0] * 6, couplings)
+            spec = spectrum_of(system)
+            vector = ground_state(spec).vector  # passes the degeneracy gate
+            assert schmidt_coefficients(vector, cut)[1] > 0.19
+            w_tilde.append(cut_in(witness_report(spec, system), cut).w_tilde)
+        assert w_tilde[0] > 1.0 and w_tilde[1] < -1.0
