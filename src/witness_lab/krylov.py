@@ -14,7 +14,11 @@ one bit flip per qubit, so it is applied without being stored::
   sum-over-states susceptibility (Soos & Ramasesha 1989),
   ``chi_ij = 2 <0|sz_i|x_j>`` with ``(H - E_0) x_j = Q sz_j |0>`` solved on
   the complement of the ground state, all ``j`` at once, by breakdown-free
-  block conjugate gradients (Ji & Li 2017).
+  block preconditioned conjugate gradients (Ji & Li 2017) with the
+  preconditioner ``Q M^-1 Q``, ``M = diag(H) - E_0 + gap``. Each block of
+  search directions is reduced to its independent part, singular values
+  above ``s_0 * dim * eps``, by two passes over its small Gram matrix
+  instead of an SVD.
 * ``krylov_path_response``: the same correction-vector solve for the
   single right-hand side ``Q V|0>`` of a path direction ``V`` gives
   ``d<sz_i>/dlambda = -2 <0|sz_i|x>``.
@@ -145,30 +149,56 @@ def krylov_ground_state(
 
 
 def _orthonormal_span(Z: np.ndarray) -> np.ndarray:
-    # Rank-revealing orthonormalization: dropping numerically dependent
-    # directions is what keeps block CG from breaking down when right-hand
-    # sides are (nearly) linearly dependent or already solved.
-    U, s, _ = np.linalg.svd(Z, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return U[:, :0]
-    return U[:, s > s[0] * Z.shape[0] * np.finfo(float).eps]
+    """Orthonormal basis of the numerically independent directions of the
+    columns of ``Z``: those with singular value ``s_i > s_0 * dim * eps``.
+
+    Dropping dependent directions is what keeps block CG from breaking down
+    when right-hand sides are (nearly) linearly dependent or already solved.
+    Two eigendecompositions of the small Gram matrix replace an SVD of
+    ``Z`` itself, which costs more than a block matvec. ``Z^T Z`` holds
+    ``s_i^2`` and resolves them only down to about ``s_0^2 * dim * eps``,
+    so the first pass scales each of its eigendirections by ``1 / sqrt(s_i^2
+    + s_0^2 * dim * eps)`` (shifted CholQR; an eigenvalue rounded below 0
+    counts as 0): none is blown up from rounding noise, and the weak ones
+    come out small rather than dropped. On that block the rule reads ``w_i
+    > w_0 * dim * eps`` and is resolved, so the second pass (as in CholQR2)
+    applies it and orthonormalizes what it keeps: to rounding when ``Z`` is
+    well conditioned, and to at worst about ``1 / dim`` for directions at
+    the cut, a basis CG takes as well.
+    """
+    dim_eps = Z.shape[0] * np.finfo(float).eps
+    w, V = np.linalg.eigh(Z.T @ Z)
+    if w.size == 0 or w[-1] <= 0.0:
+        return Z[:, :0]
+    Z = Z @ (V / np.sqrt(np.maximum(w, 0.0) + w[-1] * dim_eps))
+    w, V = np.linalg.eigh(Z.T @ Z)
+    keep = w > w[-1] * dim_eps
+    return Z @ (V[:, keep] / np.sqrt(w[keep]))
 
 
 def _block_cg(
-    apply_a: Operator, project: Operator, B: np.ndarray
+    apply_a: Operator, project: Operator, inverse_m: np.ndarray, B: np.ndarray
 ) -> np.ndarray | None:
     """Solve ``A X = B`` for unit columns of ``B`` in the range of
-    ``project``, on which ``A`` is symmetric positive definite; ``None`` if
-    the iteration cap is reached or ``P^T A P`` turns out singular first.
+    ``project``, on which ``A`` is symmetric positive definite, by
+    breakdown-free block preconditioned CG (Ji & Li 2017) with the
+    preconditioner ``project M^-1 project``, ``M`` the positive diagonal
+    ``1 / inverse_m``; ``None`` if the iteration cap is reached or ``P^T A
+    P`` turns out singular first.
 
-    Search directions are projected before they are orthonormalized: once
-    the residual is small, rounding noise dominates the weakest directions,
-    and any null-space component left in them would make ``P^T A P``
-    singular.
+    Each step takes ``Z = M^-1 R`` and the next search directions as the
+    span of ``project(Z + P beta)``, ``beta = -(P^T A P)^-1 (A P)^T Z``;
+    ``A P`` lies in the range of ``project``, so ``beta`` needs no projected
+    copy of ``Z``. Directions are projected before they are orthonormalized:
+    once the residual is small, rounding noise dominates the weakest
+    directions, and any null-space component left in them would make ``P^T
+    A P`` singular. Convergence is judged on the residual ``B - A X``
+    itself, not on its preconditioned image.
     """
+    inverse_m = inverse_m[:, None]
     X = np.zeros_like(B)
     R = B.copy()
-    P = _orthonormal_span(R)
+    P = _orthonormal_span(project(inverse_m * R))
     for _ in range(CG_MAX_ITER):
         if P.shape[1] == 0 or np.linalg.norm(R, axis=0).max() <= CG_RTOL:
             break
@@ -180,8 +210,9 @@ def _block_cg(
             return None
         X += P @ alpha
         R -= AP @ alpha
-        beta = -np.linalg.solve(PAP, AP.T @ R)  # same PAP: cannot be singular here
-        P = _orthonormal_span(project(R + P @ beta))
+        Z = inverse_m * R
+        beta = -np.linalg.solve(PAP, AP.T @ Z)  # same PAP: cannot be singular here
+        P = _orthonormal_span(project(Z + P @ beta))
     else:
         return None
     true_residual = np.linalg.norm(B - apply_a(X), axis=0).max()
@@ -195,9 +226,16 @@ def _correction_vectors(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``(Q B, X)`` with ``(H - E_0) X = Q B`` solved column by column on the
     complement of the ground state, ``Q = 1 - |0><0|``; ``None`` if block CG
-    does not converge."""
+    does not converge.
+
+    The preconditioner is ``Q M^-1 Q`` with the Jacobi-like ``M = diag(H) -
+    E_0 + gap``. It is positive with no new constant: every diagonal entry
+    of ``H`` is at least ``E_0`` (variational principle), and the gate has
+    already required ``gap > deg_tol > 0``.
+    """
     v0 = ground.vector
     apply_h = hamiltonian_operator(system)
+    inverse_m = 1.0 / (hamiltonian_diagonal(system) - ground.energy + ground.gap)
 
     def project(V: np.ndarray) -> np.ndarray:
         return V - np.outer(v0, v0 @ V)
@@ -213,7 +251,8 @@ def _correction_vectors(
         # Project again after scaling: a column that is almost parallel to
         # v0 before projection keeps a relatively large v0 component, which
         # A maps to zero and CG could never remove.
-        solved = _block_cg(apply_a, project, project(B[:, active] / norms[active]))
+        unit = project(B[:, active] / norms[active])
+        solved = _block_cg(apply_a, project, inverse_m, unit)
         if solved is None:
             return None
         X[:, active] = solved * norms[active]

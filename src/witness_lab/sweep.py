@@ -54,7 +54,9 @@ from .spectrum import ground_states, prove_ground_states, require_positive_finit
 from .witness import coupled_pairs
 
 DEFAULT_VAR_TOL = 0.1  # spin units; well above noise, below anticrossing swings
-SWEEP_CHUNK_BYTES = 1 << 18  # Hamiltonians built at once: 8 points at n=6, 1 at n >= 8
+# Hamiltonians built at once (8 points at n=6, 1 at n >= 8), and the
+# coupling matrices certify reads at once
+SWEEP_CHUNK_BYTES = 1 << 18
 # Largest dimension whose chunks are split across threads. From 128 on,
 # OpenBLAS's own threads collide with the helper threads and a sweep slows.
 PARALLEL_MAX_DIM = 64
@@ -344,12 +346,20 @@ def certify_entanglement_on_path(
     lowest levels of its two sectors swap order in between. A positive
     finding names a grid point whose ground state is entangled by the
     coupling structure (``_entangled_point``). Every mask comes from one
-    read of the path's coefficients on the grid, those the sweep solved.
+    read of the path's coefficients on the grid, those the sweep solved,
+    taken ``SWEEP_CHUNK_BYTES`` of ``J`` at a time: only the ``(m, n)``
+    ``delta != 0`` mask and the ``(n, n)`` "coupled at every point" mask
+    outlive a chunk.
     """
     var_tol = require_positive_finite("var_tol", var_tol)
-    grid = result.config.grid
-    delta, _, J = result.config.path.coefficients(grid)
-    quantum = delta != 0.0
+    path, grid = result.config.path, result.config.grid
+    chunk = SWEEP_CHUNK_BYTES // (8 * path.n * path.n)  # 227 points at n = 12
+    quantum = np.empty((grid.size, path.n), dtype=bool)
+    coupled = np.ones((path.n, path.n), dtype=bool)
+    for start in range(0, grid.size, chunk):
+        delta, _, J = path.coefficients(grid[start : start + chunk])
+        quantum[start : start + chunk] = delta != 0.0
+        coupled &= coupled_pairs(J).all(axis=0)
     classical = ~quantum.any(axis=0)
     sz = result.sz_trajectories
     flipped = np.ptp(sz[:, classical], axis=0) > 1.0
@@ -359,7 +369,6 @@ def certify_entanglement_on_path(
         )
     variations = np.abs(np.diff(sz, axis=0)).sum(axis=0)
     moving = variations > var_tol
-    coupled = coupled_pairs(J).all(axis=0)
     # argwhere lists pairs i < j in lexicographic order
     pairs = np.argwhere(np.triu(coupled & np.outer(moving, moving)))
     certified = [

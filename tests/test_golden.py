@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from witness_lab.cli import main
+from witness_lab import build_hamiltonian, diagonalize, witness_report
+from witness_lab.cli import load_config, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,6 +86,37 @@ def test_output_matches_golden_files(case):
 def test_cases_cover_every_exit_code_of_certify():
     codes = expected_exit_codes()
     assert {codes[c] for c in CASES if c.startswith("certify")} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("case", ["witness_krylov_n10", "witness_krylov_lambda_n10"])
+def test_krylov_golden_values_match_dense_route(case):
+    # The Krylov cases are regenerated whenever the solver's rounding moves;
+    # this checks the checked-in numbers against an independent route.
+    config = load_config(str(GOLDEN / CASES[case][1]))
+    system = config.system
+    dense = witness_report(
+        diagonalize(build_hamiltonian(system)),
+        system,
+        path=config.witness_path,
+        lambda0=config.witness_lambda0,
+    )
+    want = {
+        f"0x{cut.partition.mask:x}": (cut.n_ab, cut.w_tilde, cut.w_ab)
+        for cut in dense.cuts
+    }
+    if dense.w_lambda is not None:
+        want["lambda"] = ("", "", dense.w_lambda)
+    want["global"] = ("", "", dense.w_global)
+    header, *rows = (GOLDEN / f"{case}.stdout").read_text().splitlines()
+    assert header == "mask_hex,n_ab,w_tilde,w_ab"
+    assert [row.split(",")[0] for row in rows] == list(want)
+    for row in rows:
+        label, *fields = row.split(",")
+        for got, expected in zip(fields, want[label], strict=True):
+            if isinstance(expected, float):
+                assert abs(float(got) - expected) <= 1e-10 * max(1.0, abs(expected))
+            else:
+                assert got == str(expected)
 
 
 def regenerate() -> None:

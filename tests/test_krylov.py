@@ -209,7 +209,50 @@ def test_unconverged_solve_falls_back_to_dense(monkeypatch, cap):
 
 def test_block_cg_gives_up_on_singular_projected_operator():
     B = np.eye(6)[:, :2]
-    assert krylov._block_cg(np.zeros_like, lambda V: V, B) is None
+    assert krylov._block_cg(np.zeros_like, lambda V: V, np.ones(6), B) is None
+
+
+def test_block_cg_deflates_dependent_right_hand_sides():
+    # A duplicated column and one 1e-7 away from it: the span drops the
+    # duplicate's direction, and every column must still be solved.
+    rng = np.random.default_rng(12)
+    dim = 30
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = (Q * np.linspace(1.0, 10.0, dim)) @ Q.T
+    b1, b2, r = rng.standard_normal((3, dim))
+    B = np.column_stack([b1, b1, b1 + 1e-7 * r, b2])
+    B /= np.linalg.norm(B, axis=0)
+    X = krylov._block_cg(lambda V: A @ V, lambda V: V, 1.0 / np.diagonal(A), B)
+    assert X is not None
+    assert np.max(np.abs(X - np.linalg.solve(A, B))) <= 1e-10
+
+
+def test_orthonormal_span_keeps_weak_directions_and_drops_noise():
+    # Singular values 1, 1e-5, 1e-10 and 1e-16 against the cut s_0 * dim *
+    # eps = 4.5e-13: a plain Gram-matrix rule, which resolves only s_i / s_0
+    # above sqrt(dim * eps) = 6.7e-7, would drop the 1e-10 direction too.
+    rng = np.random.default_rng(13)
+    Q, _ = np.linalg.qr(rng.standard_normal((2048, 4)))
+    W, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    U = krylov._orthonormal_span((Q * [1.0, 1e-5, 1e-10, 1e-16]) @ W)
+    assert U.shape == (2048, 3)
+    assert np.max(np.abs(U.T @ U - np.eye(3))) <= 1e-8
+    strong = Q[:, :3]
+    assert np.linalg.norm(strong - U @ (U.T @ strong)) <= 1e-5
+
+
+def test_gap_just_above_tolerance_converges_on_krylov_route():
+    # Zero-bias ferromagnetic chain with a tunnel splitting 1.1e5 times
+    # below the spectral width: chi is dominated by the first excited level,
+    # and the residual block is far from full rank for most iterations.
+    system = fm_chain(10, 0.8)
+    spec = diagonalize(build_hamiltonian(system))
+    gap = spec.energies[1] - spec.energies[0]
+    deg_tol = 0.9 * gap
+    ground, chi = ground_response(system, deg_tol)
+    assert ground.route == "krylov"
+    dense = cross_susceptibility_matrix(spec, deg_tol)
+    assert np.max(np.abs(chi - dense)) <= 1e-10 * np.abs(dense).max()
 
 
 def test_path_profile_and_lambda_witness_agree_with_dense(monkeypatch):

@@ -665,6 +665,27 @@ class TestCertification:
             if trial % 2:
                 assert (0, 1) not in certified
 
+    def test_pair_uncoupled_only_at_the_last_point_is_not_certified(self):
+        # certify reads the coefficient grid a chunk at a time; J_01 = -1 +
+        # lam / 2 is exactly 0 at the last of 5001 points, which lies
+        # several chunks past the first at n = 4.
+        n = 4
+        J_base = -np.ones((n, n)) + np.eye(n)
+        J_direction = np.zeros((n, n))
+        J_direction[0, 1] = J_direction[1, 0] = 0.5
+        path = AffinePath(
+            base=QubitSystem(delta=np.full(n, 0.5), h=np.zeros(n), J=J_base),
+            direction=QubitSystem(delta=np.zeros(n), h=np.ones(n), J=J_direction),
+        )
+        grid = np.linspace(-2, 2, 5001)
+        assert grid.size > 2 * sweep_module.SWEEP_CHUNK_BYTES // (8 * n * n)
+        assert path.at(grid[-1]).J[0, 1] == 0.0
+        sz = np.sin(3.0 * grid[:, None] + np.arange(n))
+        points = [SweepPoint(lam, None, np.nan, row, False) for lam, row in zip(grid, sz)]
+        result = SweepResult(config=SweepConfig(path=path, grid=grid), points=points)
+        certified = [(i, j) for i, j, _, _ in certify_entanglement_on_path(result).certified_pairs]
+        assert certified == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
     def test_invalid_tolerances_rejected(self):
         config = SweepConfig(path=fm_pair_path(), grid=np.linspace(-2, 2, 21))
         result = run_sweep(config)
